@@ -10,9 +10,13 @@
  *   3. Worker-pool sizing: too few threads queue; too many contend
  *      on the task queue (the paper's thread-pool-sizing question).
  *
- * Each variant serves the same open-loop load on the Router service
- * (the most latency-sensitive of the four); we report the latency
- * distribution and the futex/contention counters per variant.
+ * Each variant configures the mid-tier and every leaf server alike
+ * (the worker-pool size applies to the mid-tier; leaves keep their
+ * default pool), so "block+dispatch w=4" is the paper's Fig. 8
+ * deployment and "block+inline" the run-to-completion one. Each serves
+ * the same open-loop load on the Router service (the most
+ * latency-sensitive of the four); we report the latency distribution
+ * and the futex/contention counters per variant.
  *
  * Flags: --qps=N --window-ms=N --service=router|hdsearch|...
  */
@@ -71,12 +75,15 @@ main(int argc, char **argv)
                  "hitm", "cs"});
     for (const Variant &variant : variants) {
         DeploymentOptions options = bench::realModeOptions(flags);
-        options.midTierServer.pollerThreads = variant.pollers;
+        for (rpc::ServerOptions *tier :
+             {&options.midTierServer, &options.leafServer}) {
+            tier->pollerThreads = variant.pollers;
+            tier->dispatchToWorkers = variant.dispatch;
+            tier->blockingPoll = variant.blocking;
+            tier->adaptiveIdleStreak = variant.adaptiveStreak;
+        }
         options.midTierServer.workerThreads =
             std::max(1, variant.workers);
-        options.midTierServer.dispatchToWorkers = variant.dispatch;
-        options.midTierServer.blockingPoll = variant.blocking;
-        options.midTierServer.adaptiveIdleStreak = variant.adaptiveStreak;
 
         auto deployment = ServiceDeployment::create(kind, options);
         WindowOptions window;

@@ -247,11 +247,12 @@ class CountdownLatch
     bool
     countDown()
     {
+        // Notify under the lock: a waiter may destroy the latch as soon
+        // as it sees zero, so nothing may touch it after the unlock.
         MutexLock lock(mutex);
         if (remaining == 0)
             return false;
         if (--remaining == 0) {
-            lock.unlock();
             released.notifyAll();
             return true;
         }

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "base/logging.h"
+#include "index/postings.h"
 #include "services/hdsearch/leaf.h"
 #include "services/hdsearch/midtier.h"
 #include "services/hdsearch/proto.h"
@@ -299,13 +300,17 @@ class SetAlgebraDeployment : public ServiceDeployment
             shard_ids[d % shards].push_back(d);
         }
 
+        // One corpus-wide stop list for every shard, so the union of
+        // the shard answers is the unsharded index's answer.
+        const std::unordered_set<uint32_t> stop_list =
+            rankStopTerms(docs, options.stopTerms);
+
         TierWiring::buildLeaves(
             options, shards,
             [&](uint32_t i, rpc::Server &server) {
                 leaves.push_back(std::make_unique<setalgebra::Leaf>(
                     std::make_unique<InvertedIndex>(
-                        shard_docs[i], shard_ids[i],
-                        options.stopTerms)));
+                        shard_docs[i], shard_ids[i], stop_list)));
                 leaves.back()->registerWith(server);
             },
             leafServers, leafChannels);

@@ -48,15 +48,22 @@ struct DeploymentOptions
     bool routerDefaultShards = true; //!< Apply the 16-way override.
 
     // Field-by-field (not positional aggregate init) so growing
-    // ServerOptions doesn't churn or silently reorder these.
+    // ServerOptions doesn't churn or silently reorder these. Both
+    // tiers run to completion on their pollers: the handlers are
+    // non-blocking (mid-tiers fan out asynchronously), so the Fig. 8
+    // task-queue hand-off only adds a futex wake per hop. The figure
+    // benches switch dispatchToWorkers back on to reproduce the
+    // paper's pipeline with these worker counts.
     rpc::ServerOptions midTierServer = [] {
         rpc::ServerOptions options;
+        options.dispatchToWorkers = false;
         options.workerThreads = 4;
         options.name = "mid";
         return options;
     }();
     rpc::ServerOptions leafServer = [] {
         rpc::ServerOptions options;
+        options.dispatchToWorkers = false;
         options.workerThreads = 2;
         options.name = "leaf";
         return options;

@@ -139,32 +139,46 @@ unionAll(const std::vector<std::vector<uint32_t>> &lists)
     return out;
 }
 
-InvertedIndex::InvertedIndex(
-    const std::vector<std::vector<uint32_t>> &documents,
-    const std::vector<uint32_t> &doc_ids, size_t stop_terms)
+std::unordered_set<uint32_t>
+rankStopTerms(const std::vector<std::vector<uint32_t>> &documents,
+              size_t count)
 {
-    MUSUITE_CHECK(documents.size() == doc_ids.size())
-        << "documents/doc_ids size mismatch";
-
+    std::unordered_set<uint32_t> stop;
+    if (count == 0)
+        return stop;
     // Collection frequency: total occurrences of each term.
     std::unordered_map<uint32_t, uint64_t> frequency;
     for (const auto &terms : documents) {
         for (uint32_t term : terms)
             frequency[term]++;
     }
+    std::vector<std::pair<uint64_t, uint32_t>> ranked;
+    ranked.reserve(frequency.size());
+    for (const auto &[term, occurrences] : frequency)
+        ranked.push_back({occurrences, term});
+    const size_t keep = std::min(count, ranked.size());
+    std::partial_sort(ranked.begin(), ranked.begin() + keep,
+                      ranked.end(), std::greater<>());
+    for (size_t i = 0; i < keep; ++i)
+        stop.insert(ranked[i].second);
+    return stop;
+}
 
-    // The stop list is the stop_terms most frequent terms.
-    if (stop_terms > 0 && !frequency.empty()) {
-        std::vector<std::pair<uint64_t, uint32_t>> ranked;
-        ranked.reserve(frequency.size());
-        for (const auto &[term, count] : frequency)
-            ranked.push_back({count, term});
-        const size_t keep = std::min(stop_terms, ranked.size());
-        std::partial_sort(ranked.begin(), ranked.begin() + keep,
-                          ranked.end(), std::greater<>());
-        for (size_t i = 0; i < keep; ++i)
-            stopList.insert(ranked[i].second);
-    }
+InvertedIndex::InvertedIndex(
+    const std::vector<std::vector<uint32_t>> &documents,
+    const std::vector<uint32_t> &doc_ids, size_t stop_terms)
+    : InvertedIndex(documents, doc_ids,
+                    rankStopTerms(documents, stop_terms))
+{}
+
+InvertedIndex::InvertedIndex(
+    const std::vector<std::vector<uint32_t>> &documents,
+    const std::vector<uint32_t> &doc_ids,
+    std::unordered_set<uint32_t> stop_list)
+    : stopList(std::move(stop_list))
+{
+    MUSUITE_CHECK(documents.size() == doc_ids.size())
+        << "documents/doc_ids size mismatch";
 
     // Gather per-term doc sets, skipping stop words during indexing.
     std::unordered_map<uint32_t, std::vector<uint32_t>> gathered;

@@ -77,6 +77,13 @@ std::vector<uint32_t> unionAll(
     const std::vector<std::vector<uint32_t>> &lists);
 
 /**
+ * The `count` terms with the most occurrences across `documents`,
+ * ties to the larger term id: the collection-frequency stop list.
+ */
+std::unordered_set<uint32_t> rankStopTerms(
+    const std::vector<std::vector<uint32_t>> &documents, size_t count);
+
+/**
  * Inverted index over a document shard: term id -> posting list, with
  * collection-frequency-derived stop list.
  */
@@ -88,11 +95,22 @@ class InvertedIndex
      * @param documents documents[d] = term ids appearing in doc d
      *        (duplicates fine).
      * @param doc_ids Global id of each document (shard mapping).
-     * @param stop_terms Number of most-frequent terms to discard.
+     * @param stop_terms Number of most-frequent terms to discard,
+     *        ranked over these documents alone.
      */
     InvertedIndex(const std::vector<std::vector<uint32_t>> &documents,
                   const std::vector<uint32_t> &doc_ids,
                   size_t stop_terms = 0);
+
+    /**
+     * Build with a stop list chosen elsewhere. A sharded index passes
+     * every shard the list ranked over the whole corpus: lists ranked
+     * per shard disagree near the cut-off, and the union of the shard
+     * answers then differs from an unsharded index's answer.
+     */
+    InvertedIndex(const std::vector<std::vector<uint32_t>> &documents,
+                  const std::vector<uint32_t> &doc_ids,
+                  std::unordered_set<uint32_t> stop_list);
 
     /** Posting list for a term; null if absent or stopped. */
     const PostingList *postings(uint32_t term) const;

@@ -23,9 +23,9 @@ namespace {
 
 /**
  * Write-combining context for response frames. While a drain loop
- * (worker batch or inline poller event) is executing handlers, the
- * thread's active batch collects every response frame produced
- * synchronously; the drain flushes them afterwards grouped by
+ * (worker batch or run-to-completion poller event) is executing
+ * handlers, the thread's active batch collects every response frame
+ * produced synchronously; the drain flushes them afterwards grouped by
  * connection — one cork/uncork (ideally one sendmsg) per connection
  * per drain instead of one per response. Responses completed later
  * from other threads (async handlers) miss the batch and flush
@@ -43,13 +43,10 @@ struct ResponseBatch
 
 thread_local ResponseBatch *activeResponseBatch = nullptr;
 
-/** Poller-thread dispatch batch: frames parsed from one readable
- *  event hand their calls to the worker queue in one pushAll. */
-thread_local std::vector<ServerCallPtr> *pendingDispatch = nullptr;
-
-/** Cap on frames a dispatch batch defers before flushing early, so a
- *  huge burst still reaches idle workers while the poller parses. */
-constexpr size_t maxDispatchBatch = 64;
+/** Cap on calls a readable event collects before handing them off
+ *  early, so a huge burst still reaches idle workers (or starts being
+ *  served inline) while the poller parses. */
+constexpr size_t maxEventBatch = 64;
 
 /** Cap on tasks a worker drains per round: bounds how long the first
  *  response of a batch waits behind the handlers after it. */
@@ -304,24 +301,20 @@ Server::pollerMain(size_t index)
             if (event.writable)
                 conn->fc->onWritable();
             if (event.readable) {
-                // Batch contexts for this event: frames parsed in one
-                // onReadable hand off to the workers in one pushAll
-                // (one futex round), and inline-mode responses for
-                // this connection coalesce into one flush.
+                // Batch contexts for this event: the calls parsed in
+                // one onReadable are handed off together (one pushAll,
+                // one futex round, when dispatching), and every
+                // response produced on this thread — admission and
+                // overflow sheds, inline-served handlers — coalesces
+                // into one flush per connection.
                 ResponseBatch responses;
-                std::vector<ServerCallPtr> dispatch;
+                std::vector<ServerCallPtr> calls;
                 activeResponseBatch = &responses;
-                pendingDispatch = &dispatch;
                 const bool alive = conn->fc->onReadable(
-                    [this, conn](std::string_view frame) {
-                        handleFrame(conn, frame);
+                    [this, conn, &calls](std::string_view frame) {
+                        handleFrame(conn, frame, calls);
                     });
-                pendingDispatch = nullptr;
-                // Dispatch before dropping the response batch: any
-                // queue-overflow rejections it produces coalesce into
-                // this event's flush.
-                if (!dispatch.empty())
-                    dispatchBatch(std::move(dispatch));
+                handOff(calls);
                 activeResponseBatch = nullptr;
                 flushResponseBatch(responses);
                 if (!alive)
@@ -343,19 +336,7 @@ Server::workerMain(size_t)
         activeResponseBatch = &responses;
         for (auto &task : tasks) {
             assertOnWorkerThread();
-            // Tier 3: a request that outlived its budget while queued
-            // is dead weight — the client has already given up, so
-            // running the handler would burn worker time to produce a
-            // response nobody reads. Shed it instead.
-            if (options.enforceQueueDeadline &&
-                task->expired(boundClock->nowNanos())) {
-                globalCounters()
-                    .counter("overload.expired_in_queue")
-                    .add();
-                task->respond(StatusCode::DeadlineExceeded, "");
-                continue;
-            }
-            execute(task);
+            serve(task);
         }
         activeResponseBatch = nullptr;
         flushResponseBatch(responses);
@@ -363,7 +344,8 @@ Server::workerMain(size_t)
 }
 
 void
-Server::handleFrame(Conn *conn, std::string_view frame)
+Server::handleFrame(Conn *conn, std::string_view frame,
+                    std::vector<ServerCallPtr> &batch)
 {
     assertOnPollerThread();
     MessageHeader header;
@@ -410,10 +392,13 @@ Server::handleFrame(Conn *conn, std::string_view frame)
     };
 
     // Tier 1: admission, decided before the body is even copied. The
-    // rejection frame is produced right here on the poller thread —
-    // an overloaded worker pool never sees the request at all.
+    // backlog is every admitted call not yet served: the dispatch
+    // queue plus this event's batch (inline, the batch is the whole
+    // backlog — the queue stays empty). The rejection frame is
+    // produced right here on the poller thread; no handler ever sees
+    // the request.
     if (options.admission &&
-        !options.admission->admit(taskQueue.size())) {
+        !options.admission->admit(taskQueue.size() + batch.size())) {
         globalCounters().counter("overload.admission_rejected").add();
         int64_t hint = options.admission->retryAfterHintNs();
         if (hint == 0)
@@ -447,37 +432,30 @@ Server::handleFrame(Conn *conn, std::string_view frame)
                                              deadline_at, boundClock);
     call->setAdmission(options.admission);
 
-    if (options.dispatchToWorkers) {
-        // Network thread hands off to the worker pool; the queue's
-        // traced condvar makes the wakeup visible to ostrace. Frames
-        // from one readable event batch into a single push, and a
-        // full queue sheds (tier 2) instead of blocking the poller.
-        if (pendingDispatch) {
-            pendingDispatch->push_back(std::move(call));
-            if (pendingDispatch->size() >= maxDispatchBatch) {
-                std::vector<ServerCallPtr> flush_now;
-                flush_now.swap(*pendingDispatch);
-                dispatchBatch(std::move(flush_now));
-            }
-        } else {
-            ServerCallPtr keep = call;
-            if (!taskQueue.tryPush(std::move(call))) {
-                globalCounters()
-                    .counter("overload.queue_rejected")
-                    .add();
-                shedCall(keep);
-            }
-        }
-    } else {
-        execute(call);
-    }
+    batch.push_back(std::move(call));
+    if (batch.size() >= maxEventBatch)
+        handOff(batch);
 }
 
 void
-Server::dispatchBatch(std::vector<ServerCallPtr> batch)
+Server::handOff(std::vector<ServerCallPtr> &batch)
 {
+    if (batch.empty())
+        return;
+    std::vector<ServerCallPtr> calls;
+    calls.swap(batch);
+    if (!options.dispatchToWorkers) {
+        // Run to completion: the poller that parsed the frames serves
+        // them, and their responses join this event's flush.
+        for (const ServerCallPtr &call : calls)
+            serve(call);
+        return;
+    }
+    // Fig. 8 pipeline: hand off to the worker pool in one push; the
+    // queue's traced condvar makes the wakeup visible to ostrace. A
+    // full queue sheds (tier 2) instead of blocking the poller.
     std::vector<ServerCallPtr> rejected =
-        taskQueue.tryPushAll(std::move(batch));
+        taskQueue.tryPushAll(std::move(calls));
     if (rejected.empty())
         return;
     globalCounters()
@@ -485,6 +463,22 @@ Server::dispatchBatch(std::vector<ServerCallPtr> batch)
         .add(rejected.size());
     for (const ServerCallPtr &call : rejected)
         shedCall(call);
+}
+
+void
+Server::serve(const ServerCallPtr &call)
+{
+    // Tier 3: a request that outlived its budget before a thread got
+    // to it is dead weight — the client has already given up, so
+    // running the handler would burn time to produce a response
+    // nobody reads. Shed it instead.
+    if (options.enforceQueueDeadline &&
+        call->expired(boundClock->nowNanos())) {
+        globalCounters().counter("overload.expired_in_queue").add();
+        call->respond(StatusCode::DeadlineExceeded, "");
+        return;
+    }
+    execute(call);
 }
 
 void

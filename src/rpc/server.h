@@ -10,8 +10,15 @@
  *   - a producer-consumer task queue guarded by traced mutex/condvar
  *     (the futex hot spot the paper measures), and
  *   - M worker threads that pull dispatched requests and run handlers
- *     (dispatch design), unless inline mode runs handlers directly on
- *     the poller thread (§VII in-line ablation).
+ *     (dispatch design, Fig. 8), unless run-to-completion mode serves
+ *     each request on the poller thread that parsed it (§VII inline
+ *     execution; no worker threads, no task-queue hand-off).
+ *
+ * Both modes share one path: the poller parses every frame of a
+ * readable event, admits it, and collects the calls into the event's
+ * batch; the batch is then handed to the workers in one push or served
+ * in order on the poller. Responses produced on either thread in that
+ * pass leave in one flush per connection.
  *
  * Handlers receive a shared ServerCall and may respond from any
  * thread, which is how mid-tiers respond from leaf-response completion
@@ -20,17 +27,21 @@
  * OVERLOAD CONTROL (rpc/overload.h): three shedding tiers keep the
  * server's goodput near peak once offered load passes saturation.
  *  1. Admission — an optional AdmissionController is consulted on the
- *     poller thread before the request body is even copied; rejected
- *     requests get RESOURCE_EXHAUSTED with a suggested retry-after in
- *     the response header, produced without touching the worker pool.
+ *     poller thread before the request body is even copied, with the
+ *     backlog of admitted calls not yet served (task queue plus the
+ *     current event's batch); rejected requests get RESOURCE_EXHAUSTED
+ *     with a suggested retry-after in the response header, produced
+ *     without running any handler.
  *  2. Queue bound — dispatch uses the task queue's non-blocking push;
  *     on overflow the request is shed the same way instead of the
- *     poller blocking (overload.queue_rejected).
- *  3. Deadline-aware dequeue — requests carry their remaining client
- *     budget in the wire header; a worker that dequeues an already
- *     expired request answers DEADLINE_EXCEEDED without running the
- *     handler (overload.expired_in_queue), so a saturated queue sheds
- *     the work nobody is waiting for anymore.
+ *     poller blocking (overload.queue_rejected). Run-to-completion
+ *     has no queue to overflow.
+ *  3. Deadline-aware serving — requests carry their remaining client
+ *     budget in the wire header; a worker (or, run to completion, the
+ *     poller) that reaches an already expired request answers
+ *     DEADLINE_EXCEEDED without running the handler
+ *     (overload.expired_in_queue), so a backlog sheds the work nobody
+ *     is waiting for anymore.
  */
 
 #ifndef MUSUITE_RPC_SERVER_H
@@ -62,7 +73,9 @@ struct ServerOptions
 {
     int pollerThreads = 1;     //!< Network (request-reception) threads.
     int workerThreads = 4;     //!< RPC-handler threads.
-    bool dispatchToWorkers = true; //!< false: inline on poller thread.
+    /** true: Fig. 8 poller → task queue → worker pipeline; false: run
+     *  to completion on the poller that read the request. */
+    bool dispatchToWorkers = true;
     bool blockingPoll = true;  //!< false: busy-poll epoll with 0 timeout.
     /**
      * > 0 enables the adaptive block/poll policy the paper's §VII
@@ -271,11 +284,19 @@ class Server
     void pollerMain(size_t index);
     void workerMain(size_t index);
     void acceptPending();
-    void handleFrame(Conn *conn, std::string_view frame);
+    /** Parse and admit one request frame into the event's batch. */
+    void handleFrame(Conn *conn, std::string_view frame,
+                     std::vector<ServerCallPtr> &batch);
+    /**
+     * Empty the batch: serve it on this poller (run to completion) or
+     * push it to the worker queue (dispatch), where overflow is shed,
+     * not blocked on.
+     */
+    void handOff(std::vector<ServerCallPtr> &batch);
+    /** Tier-3 deadline check, then the handler. */
+    void serve(const ServerCallPtr &call);
     void execute(const ServerCallPtr &call);
     Handler *findHandler(uint32_t method);
-    /** Non-blocking queue handoff; overflow is shed, not blocked on. */
-    void dispatchBatch(std::vector<ServerCallPtr> batch);
     /** Reject a dispatched call with RESOURCE_EXHAUSTED + retry-after. */
     void shedCall(const ServerCallPtr &call);
 

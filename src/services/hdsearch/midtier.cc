@@ -88,29 +88,21 @@ MidTier::handle(rpc::ServerCallPtr call)
     fanoutCall(kLeafDistance, std::move(requests), fanout_options,
                [this, call, k,
                 tags = std::move(tags)](FanoutOutcome outcome) {
-                   if (outcome.okLegs == 0) {
-                       // No shard contributed: report the dominant
-                       // failure (keeping a shedder's retry-after)
-                       // rather than an empty OK.
-                       respondFailure(
-                           call, dominantFailure(outcome.results,
-                                                 "no shard answered"));
-                       return;
-                   }
                    std::vector<std::vector<Neighbor>> lists;
                    lists.reserve(outcome.results.size());
-                   bool downstream_degraded = false;
+                   bool partial = outcome.degraded;
                    for (size_t i = 0; i < outcome.results.size(); ++i) {
                        if (!outcome.results[i].status.isOk())
                            continue; // Degraded: merge what arrived.
                        LeafNNResponse leaf_response;
                        if (!decodeMessage(outcome.results[i].payload,
                                           leaf_response)) {
+                           partial = true; // An OK leg's answer lost.
                            continue;
                        }
                        // OR through a downstream mid-tier's degraded
                        // flag (multi-hop propagation).
-                       downstream_degraded |= leaf_response.degraded;
+                       partial |= leaf_response.degraded;
                        std::vector<Neighbor> list;
                        list.reserve(leaf_response.pointIds.size());
                        for (size_t j = 0;
@@ -122,6 +114,15 @@ MidTier::handle(rpc::ServerCallPtr call)
                        }
                        lists.push_back(std::move(list));
                    }
+                   if (lists.empty()) {
+                       // No shard contributed: report the dominant
+                       // failure (keeping a shedder's retry-after)
+                       // rather than an empty OK.
+                       respondFailure(
+                           call, dominantFailure(outcome.results,
+                                                 "no shard answered"));
+                       return;
+                   }
 
                    const auto merged = mergeTopK(lists, k);
                    NNResponse response;
@@ -131,8 +132,7 @@ MidTier::handle(rpc::ServerCallPtr call)
                        response.pointIds.push_back(neighbor.id);
                        response.distances.push_back(neighbor.distance);
                    }
-                   response.degraded =
-                       outcome.degraded || downstream_degraded;
+                   response.degraded = partial;
                    if (response.degraded)
                        degraded.fetch_add(1,
                                           std::memory_order_relaxed);

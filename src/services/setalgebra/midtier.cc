@@ -56,7 +56,24 @@ MidTier::handle(rpc::ServerCallPtr call)
         requests.size(), call->remainingBudgetNs());
     fanoutCall(kIntersect, std::move(requests), fanout_options,
                [this, call](FanoutOutcome outcome) {
-                   if (outcome.okLegs == 0) {
+                   std::vector<std::vector<uint32_t>> lists;
+                   lists.reserve(outcome.results.size());
+                   bool partial = outcome.degraded;
+                   for (const LeafResult &result : outcome.results) {
+                       if (!result.status.isOk())
+                           continue; // Degraded result set.
+                       PostingReply reply;
+                       if (!decodeMessage(result.payload, reply)) {
+                           partial = true; // An OK leg's answer lost.
+                           continue;
+                       }
+                       lists.push_back(std::move(reply.docIds));
+                       // A shard that is itself a mid-tier may answer
+                       // degraded; OR it through so depth-N callers
+                       // see it.
+                       partial |= reply.degraded;
+                   }
+                   if (lists.empty()) {
                        // Nothing merged: surface the dominant failure
                        // (and a shedding shard's retry-after) instead
                        // of a hollow OK.
@@ -65,25 +82,9 @@ MidTier::handle(rpc::ServerCallPtr call)
                                                  "no shard answered"));
                        return;
                    }
-                   std::vector<std::vector<uint32_t>> lists;
-                   lists.reserve(outcome.results.size());
-                   bool downstream_degraded = false;
-                   for (const LeafResult &result : outcome.results) {
-                       if (!result.status.isOk())
-                           continue; // Degraded result set.
-                       PostingReply reply;
-                       if (decodeMessage(result.payload, reply)) {
-                           lists.push_back(std::move(reply.docIds));
-                           // A shard that is itself a mid-tier may
-                           // answer degraded; OR it through so depth-N
-                           // callers see it.
-                           downstream_degraded |= reply.degraded;
-                       }
-                   }
                    PostingReply merged;
                    merged.docIds = unionAll(lists);
-                   merged.degraded =
-                       outcome.degraded || downstream_degraded;
+                   merged.degraded = partial;
                    if (merged.degraded)
                        degraded.fetch_add(1,
                                           std::memory_order_relaxed);

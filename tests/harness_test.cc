@@ -10,6 +10,8 @@
 
 #include "harness/deployment.h"
 #include "harness/experiment.h"
+#include "index/postings.h"
+#include "services/setalgebra/proto.h"
 
 namespace musuite {
 namespace {
@@ -38,6 +40,17 @@ tinyOptions()
 class DeploymentTest : public ::testing::TestWithParam<ServiceKind>
 {};
 
+/** A short open-loop window at a load every service keeps up with. */
+WindowReport
+runShortWindow(ServiceDeployment &deployment)
+{
+    WindowOptions window;
+    window.qps = 300;
+    window.durationNs = 400'000'000;
+    window.seed = 7;
+    return runOpenLoopWindow(deployment, window);
+}
+
 TEST_P(DeploymentTest, DeploysAndAnswersQueries)
 {
     auto deployment =
@@ -60,14 +73,12 @@ TEST_P(DeploymentTest, DeploysAndAnswersQueries)
 
 TEST_P(DeploymentTest, OpenLoopWindowPopulatesReport)
 {
-    auto deployment =
-        ServiceDeployment::create(GetParam(), tinyOptions());
-
-    WindowOptions window;
-    window.qps = 300;
-    window.durationNs = 400'000'000;
-    window.seed = 7;
-    const WindowReport report = runOpenLoopWindow(*deployment, window);
+    // The paper's Fig. 8 pipeline, as the figure benches run it.
+    DeploymentOptions options = tinyOptions();
+    options.midTierServer.dispatchToWorkers = true;
+    options.leafServer.dispatchToWorkers = true;
+    auto deployment = ServiceDeployment::create(GetParam(), options);
+    const WindowReport report = runShortWindow(*deployment);
 
     EXPECT_GT(report.load.completed, 50u);
     EXPECT_EQ(report.load.errors, 0u)
@@ -94,6 +105,23 @@ TEST_P(DeploymentTest, OpenLoopWindowPopulatesReport)
     EXPECT_GT(report.load.latency.valueAtQuantile(0.5), 0);
     EXPECT_LE(report.load.latency.valueAtQuantile(0.5),
               report.load.latency.maxValue());
+}
+
+TEST_P(DeploymentTest, RunToCompletionWindowHasNoFutexWaits)
+{
+    // The default deployment serves every request on the poller that
+    // read it: no task-queue hand-off, so no traced futex wait at any
+    // tier, while the window is still served in full.
+    auto deployment =
+        ServiceDeployment::create(GetParam(), tinyOptions());
+    const WindowReport report = runShortWindow(*deployment);
+
+    EXPECT_GT(report.load.completed, 50u);
+    EXPECT_EQ(report.load.errors, 0u)
+        << "error rate " << report.load.errorRate();
+    EXPECT_EQ(report.futexWaits, 0u);
+    EXPECT_EQ(report.osBreakdown[size_t(OsCategory::ActiveExe)].count(),
+              0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -142,6 +170,40 @@ TEST(DeploymentTest2, KillLeafDegradesButDoesNotCrash)
     }
     // Set Algebra merges whatever shards respond: all queries answer.
     EXPECT_EQ(ok, 10);
+}
+
+TEST(DeploymentTest2, SetAlgebraShardsAnswerLikeOneIndex)
+{
+    // Sharding must not change an answer: each shard drops the stop
+    // list ranked over the whole corpus, so the union of the shard
+    // answers is what one unsharded index answers.
+    DeploymentOptions options;
+    options.corpus.numDocuments = 8000;
+    options.leafShards = 4;
+    options.stopTerms = 16;
+    auto deployment =
+        ServiceDeployment::create(ServiceKind::SetAlgebra, options);
+
+    const TextCorpus corpus(options.corpus);
+    std::vector<uint32_t> ids(corpus.size());
+    for (uint32_t d = 0; d < ids.size(); ++d)
+        ids[d] = d;
+    const InvertedIndex whole(corpus.documents(), ids, options.stopTerms);
+
+    rpc::RpcClient client(deployment->midTierPort());
+    Rng rng(29);
+    for (int q = 0; q < 1000; ++q) {
+        const std::string body = deployment->sampleRequestBody(rng);
+        setalgebra::SearchQuery query;
+        ASSERT_TRUE(decodeMessage(body, query));
+        auto result = client.callSync(deployment->frontEndMethod(), body);
+        ASSERT_TRUE(result.isOk()) << result.status().toString();
+        setalgebra::PostingReply reply;
+        ASSERT_TRUE(decodeMessage(result.value(), reply));
+        EXPECT_FALSE(reply.degraded);
+        ASSERT_EQ(reply.docIds, whole.intersectTerms(query.terms))
+            << "query " << q;
+    }
 }
 
 TEST(SaturationTest2, MeasuresPositiveThroughput)

@@ -79,6 +79,24 @@ struct CapturedResponse
     bool responded = false;
 };
 
+/** Run a mid-tier registered on an unstarted host; scripted leaves
+ *  answer inline, so the response is in by the time this returns. */
+CapturedResponse
+invokeMidTier(rpc::Server &host, uint32_t method, const std::string &body)
+{
+    CapturedResponse out;
+    host.invokeLocal(method, body,
+                     [&out](StatusCode code, std::string_view payload,
+                            int64_t retry_after) {
+                         out.code = code;
+                         out.payload.assign(payload.data(),
+                                            payload.size());
+                         out.retryAfterNs = retry_after;
+                         out.responded = true;
+                     });
+    return out;
+}
+
 // --------------------------------------------------------------------
 // Set Algebra mid-tier.
 // --------------------------------------------------------------------
@@ -566,6 +584,88 @@ TEST(SetAlgebraMidTierTest, ExpiredInboundBudgetFailsFastBeforeFanout)
     ASSERT_TRUE(out.responded);
     EXPECT_EQ(out.code, StatusCode::DeadlineExceeded);
     EXPECT_EQ(leaf->calls, 0); // Counter: fanout.expired_before_fanout.
+}
+
+// --------------------------------------------------------------------
+// An OK leg whose payload does not decode lost its answer just like a
+// failed leg: the merge is flagged degraded, and when no leg decoded
+// the mid-tier answers the dominant failure instead of an empty OK.
+// --------------------------------------------------------------------
+
+TEST(SetAlgebraMidTierTest, GarbledLegDegradesAndAllGarbledFails)
+{
+    auto good = std::make_shared<ScriptedChannel>(
+        ScriptedChannel::Mode::Reply, postingPayload({3, 4}));
+    auto garbled = std::make_shared<ScriptedChannel>(
+        ScriptedChannel::Mode::Garbage);
+    setalgebra::SearchQuery query;
+    query.terms = {1};
+
+    setalgebra::MidTier partial({good, garbled});
+    rpc::Server host;
+    partial.registerWith(host);
+    CapturedResponse out =
+        invokeMidTier(host, setalgebra::kSearch, encodeMessage(query));
+    ASSERT_TRUE(out.responded);
+    EXPECT_EQ(out.code, StatusCode::Ok);
+    setalgebra::PostingReply merged;
+    ASSERT_TRUE(decodeMessage(out.payload, merged));
+    EXPECT_EQ(merged.docIds, (std::vector<uint32_t>{3, 4}));
+    EXPECT_TRUE(merged.degraded);
+
+    setalgebra::MidTier hollow({garbled, garbled});
+    rpc::Server hollow_host;
+    hollow.registerWith(hollow_host);
+    out = invokeMidTier(hollow_host, setalgebra::kSearch,
+                        encodeMessage(query));
+    ASSERT_TRUE(out.responded);
+    EXPECT_EQ(out.code, StatusCode::Unavailable);
+}
+
+TEST(HdSearchMidTierTest, GarbledLegDegradesAndAllGarbledFails)
+{
+    // Buckets wide enough that both leaves are always candidates.
+    LshParams params;
+    params.numTables = 2;
+    params.hashesPerTable = 2;
+    params.bucketWidth = 1000.0f;
+    const std::vector<float> point(4, 0.5f);
+    auto wide_index = [&] {
+        auto index = std::make_unique<LshIndex>(4, params);
+        index->insert(point, {0, 0});
+        index->insert(point, {1, 0});
+        return index;
+    };
+    hdsearch::LeafNNResponse healthy_response;
+    healthy_response.pointIds = {0};
+    healthy_response.distances = {0.25f};
+    auto healthy = std::make_shared<ScriptedChannel>(
+        ScriptedChannel::Mode::Reply, encodeMessage(healthy_response));
+    auto garbled = std::make_shared<ScriptedChannel>(
+        ScriptedChannel::Mode::Garbage);
+    hdsearch::NNQuery query;
+    query.features = point;
+    query.k = 2;
+
+    hdsearch::MidTier partial(wide_index(), {healthy, garbled});
+    rpc::Server host;
+    partial.registerWith(host);
+    CapturedResponse out = invokeMidTier(host, hdsearch::kNearestNeighbors,
+                                         encodeMessage(query));
+    ASSERT_TRUE(out.responded);
+    EXPECT_EQ(out.code, StatusCode::Ok);
+    hdsearch::NNResponse response;
+    ASSERT_TRUE(decodeMessage(out.payload, response));
+    ASSERT_EQ(response.pointIds.size(), 1u);
+    EXPECT_TRUE(response.degraded);
+
+    hdsearch::MidTier hollow(wide_index(), {garbled, garbled});
+    rpc::Server hollow_host;
+    hollow.registerWith(hollow_host);
+    out = invokeMidTier(hollow_host, hdsearch::kNearestNeighbors,
+                        encodeMessage(query));
+    ASSERT_TRUE(out.responded);
+    EXPECT_EQ(out.code, StatusCode::Unavailable);
 }
 
 } // namespace

@@ -584,6 +584,86 @@ TEST(ServerSheddingTest, BudgetPropagatesAndFreshRequestsExecute)
     EXPECT_EQ(counted_runs.load(), 1);
 }
 
+// ---------------------------------------------------------------------
+// The same tiers when the server runs each request to completion on
+// the poller that read it (no task queue, no workers).
+// ---------------------------------------------------------------------
+
+TEST(ServerSheddingTest, InlineExpiredBudgetRejectedWithoutExecuting)
+{
+    ServerOptions options;
+    options.dispatchToWorkers = false;
+    auto server = std::make_unique<Server>(options);
+    std::atomic<int> counted_runs{0};
+    server->registerHandler(kEcho, [](ServerCallPtr call) {
+        call->respondOk(call->body());
+    });
+    server->registerHandler(kCounted, [&](ServerCallPtr call) {
+        counted_runs.fetch_add(1);
+        call->respondOk("");
+    });
+    server->start();
+    RpcClient client(server->port());
+
+    const uint64_t before =
+        globalCounters().counter("overload.expired_in_queue").get();
+    // A 1 ns wire budget has run out by the time the poller serves it.
+    CallOptions call_options;
+    call_options.deadlineNs = 1;
+    auto result = client.callSync(kCounted, "", call_options);
+    ASSERT_FALSE(result.isOk());
+    EXPECT_EQ(result.status().code(), StatusCode::DeadlineExceeded);
+
+    // One connection is served in order: once this echo is back, the
+    // expired request has been answered too.
+    ASSERT_TRUE(client.callSync(kEcho, "after").isOk());
+    EXPECT_EQ(counted_runs.load(), 0); // Handler never ran.
+    EXPECT_EQ(globalCounters().counter("overload.expired_in_queue").get(),
+              before + 1);
+}
+
+TEST(ServerSheddingTest, InlineAdmissionCountsTheUnservedBatch)
+{
+    // No queue builds up inline, so admission must see the calls
+    // parsed from one read but not yet served. A corked pipelined
+    // burst arrives in one read; past the bound, calls are shed.
+    ServerOptions options;
+    options.dispatchToWorkers = false;
+    options.admission = std::make_shared<QueueLimitAdmission>(2);
+    options.rejectRetryAfterNs = 7'000'000;
+    auto server = makeEchoServer(options);
+    RpcClient client(server->port());
+    ASSERT_TRUE(client.callSync(kEcho, "warm").isOk());
+
+    constexpr int depth = 16;
+    std::atomic<int> ok{0}, shed{0}, hinted{0}, other{0};
+    CountdownLatch latch(depth);
+    {
+        ScopedWriteBatch batch(&client);
+        for (int i = 0; i < depth; ++i) {
+            client.call(kEcho, "x",
+                        [&](const Status &status, std::string_view) {
+                            if (status.isOk()) {
+                                ok.fetch_add(1);
+                            } else if (status.code() ==
+                                       StatusCode::ResourceExhausted) {
+                                shed.fetch_add(1);
+                                if (status.retryAfterNs() == 7'000'000)
+                                    hinted.fetch_add(1);
+                            } else {
+                                other.fetch_add(1);
+                            }
+                            latch.countDown();
+                        });
+        }
+    }
+    latch.wait();
+    EXPECT_EQ(other.load(), 0);
+    EXPECT_GE(ok.load(), 2);
+    EXPECT_GE(shed.load(), depth / 2);
+    EXPECT_EQ(hinted.load(), shed.load());
+}
+
 } // namespace
 } // namespace rpc
 } // namespace musuite
