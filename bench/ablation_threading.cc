@@ -13,7 +13,10 @@
  * Each variant configures the mid-tier and every leaf server alike
  * (the worker-pool size applies to the mid-tier; leaves keep their
  * default pool), so "block+dispatch w=4" is the paper's Fig. 8
- * deployment and "block+inline" the run-to-completion one. Each serves
+ * deployment and "block+inline" the run-to-completion one. The leaf
+ * channels follow the mid-tier: dispatch variants read leaf replies on
+ * a pick-up thread per channel, inline ones on the mid-tier's own
+ * poller (no pick-up threads). Each serves
  * the same open-loop load on the Router service (the most
  * latency-sensitive of the four); we report the latency distribution
  * and the futex/contention counters per variant.

@@ -49,6 +49,7 @@ lockRankName(LockRank rank)
       case LockRank::osTraceRegistry: return "ostrace.registry";
       case LockRank::osTraceLocal:    return "ostrace.local";
       case LockRank::counters:        return "stats.counters";
+      case LockRank::eventLoop:       return "net.loop";
       case LockRank::latch:           return "latch";
       case LockRank::logSink:         return "log.sink";
     }

@@ -74,6 +74,8 @@ enum class LockRank : int {
     osTraceRegistry = 74,//!< ostrace thread registry.
     osTraceLocal = 76,   //!< ostrace per-thread histograms.
     counters = 80,       //!< Counter registry (stats/counters).
+    eventLoop = 82,      //!< EventLoop posted-task list (net/poller)
+                         //!< — leaf: nothing taken under it.
     latch = 85,          //!< Countdown latches (base/threading).
     logSink = 90,        //!< Logging sink (base/logging) — leaf: log
                          //!< statements run under arbitrary locks.
@@ -178,8 +180,9 @@ assertOnTimerThread()
     syncdbg::assertRole(ThreadRole::timer, "timer-only path");
 }
 
-/** Frame reads happen on a server poller or a client completion
- *  thread; both own a Poller. */
+/** Frame reads happen on a server poller (its own connections and the
+ *  client connections dialed onto it) or on a client completion
+ *  thread; both run a Poller. */
 inline void
 assertOnFrameReaderThread()
 {

@@ -58,12 +58,18 @@ struct TierWiring
 {
     /**
      * Start `count` leaf servers using `register_leaf(i, server)` to
-     * attach handlers, then open one client channel to each.
+     * attach handlers, then open one client channel to each from the
+     * (not yet started) mid-tier. A run-to-completion mid-tier dials
+     * them onto its own pollers, so leaf replies are read and merged
+     * on the thread that ran the handler; a dispatching one gives
+     * each channel its own pick-up thread (the paper's response
+     * threads, Fig. 8).
      */
     static void
     buildLeaves(const DeploymentOptions &options, uint32_t count,
                 const std::function<void(uint32_t, rpc::Server &)>
                     &register_leaf,
+                rpc::Server &mid_tier,
                 std::vector<std::unique_ptr<rpc::Server>> &servers,
                 std::vector<std::shared_ptr<rpc::Channel>> &channels)
     {
@@ -76,8 +82,12 @@ struct TierWiring
 
             rpc::ClientOptions client_options = options.midToLeafClient;
             client_options.name = "m2l" + std::to_string(i);
-            channels.push_back(std::make_shared<rpc::RpcClient>(
-                server->port(), client_options));
+            if (options.midTierServer.dispatchToWorkers)
+                channels.push_back(std::make_shared<rpc::RpcClient>(
+                    server->port(), client_options));
+            else
+                channels.push_back(
+                    mid_tier.dial(server->port(), client_options));
             servers.push_back(std::move(server));
         }
     }
@@ -107,6 +117,7 @@ class HdSearchDeployment : public ServiceDeployment
             dataset.vectors(), options.leafShards, options.lsh);
 
         std::vector<FeatureStore> &shards = built.leafShards;
+        midTier = TierWiring::buildMidTier(options);
         TierWiring::buildLeaves(
             options, options.leafShards,
             [&](uint32_t i, rpc::Server &server) {
@@ -114,12 +125,11 @@ class HdSearchDeployment : public ServiceDeployment
                     std::move(shards[i])));
                 leaves.back()->registerWith(server);
             },
-            leafServers, leafChannels);
+            *midTier, leafServers, leafChannels);
 
         logic = std::make_unique<hdsearch::MidTier>(
             std::move(built.midTierIndex), leafChannels,
             options.midTierFanout);
-        midTier = TierWiring::buildMidTier(options);
         logic->registerWith(*midTier);
         midTier->start();
     }
@@ -187,13 +197,14 @@ class RouterDeployment : public ServiceDeployment
                                     ? 16
                                     : options.leafShards;
 
+        midTier = TierWiring::buildMidTier(options);
         TierWiring::buildLeaves(
             options, shards,
             [&](uint32_t, rpc::Server &server) {
                 leaves.push_back(std::make_unique<router::Leaf>());
                 leaves.back()->registerWith(server);
             },
-            leafServers, leafChannels);
+            *midTier, leafServers, leafChannels);
 
         router::MidTierOptions router_options = options.routerMidTier;
         if (router_options.fanout.leg.plain() &&
@@ -203,7 +214,6 @@ class RouterDeployment : public ServiceDeployment
         }
         logic = std::make_unique<router::MidTier>(leafChannels,
                                                  router_options);
-        midTier = TierWiring::buildMidTier(options);
         logic->registerWith(*midTier);
         midTier->start();
 
@@ -305,6 +315,7 @@ class SetAlgebraDeployment : public ServiceDeployment
         const std::unordered_set<uint32_t> stop_list =
             rankStopTerms(docs, options.stopTerms);
 
+        midTier = TierWiring::buildMidTier(options);
         TierWiring::buildLeaves(
             options, shards,
             [&](uint32_t i, rpc::Server &server) {
@@ -313,11 +324,10 @@ class SetAlgebraDeployment : public ServiceDeployment
                         shard_docs[i], shard_ids[i], stop_list)));
                 leaves.back()->registerWith(server);
             },
-            leafServers, leafChannels);
+            *midTier, leafServers, leafChannels);
 
         logic = std::make_unique<setalgebra::MidTier>(
             leafChannels, options.midTierFanout);
-        midTier = TierWiring::buildMidTier(options);
         logic->registerWith(*midTier);
         midTier->start();
     }
@@ -389,6 +399,7 @@ class RecommendDeployment : public ServiceDeployment
         std::vector<SparseRatings> shards = recommend::shardRatings(
             dataset.ratings, options.leafShards);
 
+        midTier = TierWiring::buildMidTier(options);
         TierWiring::buildLeaves(
             options, options.leafShards,
             [&](uint32_t i, rpc::Server &server) {
@@ -396,11 +407,10 @@ class RecommendDeployment : public ServiceDeployment
                     std::move(shards[i])));
                 leaves.back()->registerWith(server);
             },
-            leafServers, leafChannels);
+            *midTier, leafServers, leafChannels);
 
         logic = std::make_unique<recommend::MidTier>(
             leafChannels, options.midTierFanout);
-        midTier = TierWiring::buildMidTier(options);
         logic->registerWith(*midTier);
         midTier->start();
     }

@@ -68,6 +68,10 @@ struct DeploymentOptions
         options.name = "leaf";
         return options;
     }();
+    /** Mid-tier → leaf channels. Dialed onto the mid-tier's pollers
+     *  when it runs to completion (completionThreads then unused, and
+     *  defaultDeadlineNs must stay 0); own pick-up threads when it
+     *  dispatches to workers. */
     rpc::ClientOptions midToLeafClient{
         /*connections=*/1, /*completionThreads=*/1,
         /*blockingPoll=*/true, /*name=*/"mid2leaf"};

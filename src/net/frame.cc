@@ -28,8 +28,8 @@ FramedConnection::oversizedSendCount()
 }
 
 FramedConnection::FramedConnection(TcpSocket socket, Poller *poller,
-                                   void *cookie)
-    : sock(std::move(socket)), poller(poller), cookie(cookie)
+                                   PollHandler *handler)
+    : sock(std::move(socket)), poller(poller), handler(handler)
 {}
 
 FramedConnection::~FramedConnection()
@@ -48,7 +48,7 @@ void
 FramedConnection::registerWithPoller()
 {
     if (poller && sock.valid())
-        poller->add(sock.fd(), cookie, false);
+        poller->add(sock.fd(), handler, false);
 }
 
 bool
@@ -263,7 +263,7 @@ FramedConnection::flushLocked(MutexLock &lock)
         if (status == IoStatus::WouldBlock) {
             if (!writeArmed && poller && !isDead()) {
                 writeArmed = true;
-                poller->modify(sock.fd(), cookie, true);
+                poller->modify(sock.fd(), handler, true);
                 poller->wake();
             }
             break;
@@ -277,7 +277,7 @@ FramedConnection::flushLocked(MutexLock &lock)
         outCursor = 0;
         if (writeArmed && poller && !isDead()) {
             writeArmed = false;
-            poller->modify(sock.fd(), cookie, false);
+            poller->modify(sock.fd(), handler, false);
         }
     }
     return ok;

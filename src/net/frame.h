@@ -57,9 +57,10 @@ class FramedConnection
      * @param poller Poller whose thread reads this connection; used to
      *        manage EPOLLOUT interest. May be null for lock-step tests
      *        (then callers drive flush() manually).
-     * @param cookie The cookie this connection is registered under.
+     * @param handler The handler this connection is registered under.
      */
-    FramedConnection(TcpSocket socket, Poller *poller, void *cookie);
+    FramedConnection(TcpSocket socket, Poller *poller,
+                     PollHandler *handler);
     ~FramedConnection();
 
     /** Register with the poller for read interest. */
@@ -143,7 +144,7 @@ class FramedConnection
 
     TcpSocket sock;
     Poller *poller;
-    void *cookie;
+    PollHandler *handler;
 
     // Inbound state: poller thread only. Unparsed bytes live at
     // [inCursor, inEnd) of `inbound`; compaction slides them to the

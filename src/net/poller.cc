@@ -26,7 +26,7 @@ Poller::Poller()
 
     epoll_event ev{};
     ev.events = EPOLLIN;
-    ev.data.ptr = nullptr; // nullptr cookie marks the wakeup fd.
+    ev.data.ptr = nullptr; // nullptr handler marks the wakeup fd.
     MUSUITE_CHECK(epoll_ctl(epollFd, EPOLL_CTL_ADD, wakeFd, &ev) == 0)
         << "epoll_ctl(wakeFd): " << std::strerror(errno);
 }
@@ -40,22 +40,22 @@ Poller::~Poller()
 }
 
 void
-Poller::add(int fd, void *cookie, bool want_write)
+Poller::add(int fd, PollHandler *handler, bool want_write)
 {
-    MUSUITE_CHECK(cookie != nullptr) << "null poller cookie is reserved";
+    MUSUITE_CHECK(handler != nullptr) << "null poller handler is reserved";
     epoll_event ev{};
     ev.events = EPOLLIN | (want_write ? uint32_t(EPOLLOUT) : 0u);
-    ev.data.ptr = cookie;
+    ev.data.ptr = handler;
     MUSUITE_CHECK(epoll_ctl(epollFd, EPOLL_CTL_ADD, fd, &ev) == 0)
         << "epoll_ctl(ADD): " << std::strerror(errno);
 }
 
 void
-Poller::modify(int fd, void *cookie, bool want_write)
+Poller::modify(int fd, PollHandler *handler, bool want_write)
 {
     epoll_event ev{};
     ev.events = EPOLLIN | (want_write ? uint32_t(EPOLLOUT) : 0u);
-    ev.data.ptr = cookie;
+    ev.data.ptr = handler;
     MUSUITE_CHECK(epoll_ctl(epollFd, EPOLL_CTL_MOD, fd, &ev) == 0)
         << "epoll_ctl(MOD): " << std::strerror(errno);
 }
@@ -87,7 +87,7 @@ Poller::wait(int timeout_ms)
             }
             event.isWakeup = true;
         } else {
-            event.data = raw[i].data.ptr;
+            event.handler = static_cast<PollHandler *>(raw[i].data.ptr);
             event.readable = raw[i].events & EPOLLIN;
             event.writable = raw[i].events & EPOLLOUT;
             event.error = raw[i].events & (EPOLLERR | EPOLLHUP);
@@ -103,6 +103,64 @@ Poller::wake()
     const uint64_t one = 1;
     countSyscall(Sys::Write);
     [[maybe_unused]] ssize_t n = ::write(wakeFd, &one, sizeof(one));
+}
+
+void
+Poller::dispatch(const std::vector<PollEvent> &events)
+{
+    for (const PollEvent &event : events) {
+        if (!event.isWakeup)
+            event.handler->onPollEvent(event);
+    }
+}
+
+void
+EventLoop::enter()
+{
+    MutexLock guard(mutex);
+    running = true;
+    runner = std::this_thread::get_id();
+}
+
+void
+EventLoop::leave()
+{
+    {
+        MutexLock guard(mutex);
+        running = false;
+        runner = std::thread::id();
+    }
+    releaseWaiters();
+}
+
+void
+EventLoop::releaseWaiters()
+{
+    std::vector<CountdownLatch *> released;
+    {
+        MutexLock guard(mutex);
+        released.swap(waiters);
+        hasWaiters.store(false, std::memory_order_relaxed);
+    }
+    for (CountdownLatch *waiter : released)
+        waiter->countDown();
+}
+
+void
+EventLoop::awaitPass()
+{
+    CountdownLatch passed(1);
+    {
+        MutexLock guard(mutex);
+        MUSUITE_CHECK(runner != std::this_thread::get_id())
+            << "EventLoop::awaitPass from its own loop thread";
+        if (!running)
+            return; // No pass is in progress.
+        waiters.push_back(&passed);
+        hasWaiters.store(true, std::memory_order_release);
+    }
+    pollSet.wake();
+    passed.wait();
 }
 
 } // namespace musuite

@@ -4,8 +4,9 @@
  * layer every transport shares.
  *
  * µSuite mid-tiers act as RPC clients to their leaves; they issue
- * calls asynchronously and merge responses on completion threads
- * (paper §IV "asynchronous communication with leaf microservers").
+ * calls asynchronously and merge responses on the threads that read
+ * them (paper §IV "asynchronous communication with leaf
+ * microservers").
  * Channel is the seam between service logic and transport: the TCP
  * client (rpc/client.h) and the in-process channel (rpc/local_channel.h)
  * both implement transportCall(), so services and tests share one code
@@ -22,14 +23,15 @@
  *    throttle that stops retries/hedges while recent calls keep
  *    failing, so a saturated leaf is not hammered into the ground.
  *
- * THREADING CONTRACT: a callback may run on a completion thread, on
- * the bound clock's timer-dispatch context (the shared timer thread
- * under RealClock, the event-loop-pumping thread under SimClock), or
- * *synchronously on the caller's own thread inside call()* — e.g.
- * when the transport fails inline (connect refused) or a fault
- * injector errors the request. Callers must not hold locks across
- * call() that the callback also takes, and must not assume
- * completion-thread context.
+ * THREADING CONTRACT: a callback may run on the thread reading the
+ * response (a client pick-up thread, or the server poller a client
+ * was dialed onto), on the bound clock's timer-dispatch context (the
+ * shared timer thread under RealClock, the event-loop-pumping thread
+ * under SimClock), or *synchronously on the caller's own thread
+ * inside call()* — e.g. when the transport fails inline (connect
+ * refused) or a fault injector errors the request. Callers must not
+ * hold locks across call() that the callback also takes, and must not
+ * assume any one of these threads.
  *
  * CLOCK SEAM: every instant the resilience layer computes — attempt
  * deadlines, total-deadline cutoffs, retry fire times, hedge arming —
@@ -122,8 +124,9 @@ class Channel
   public:
     /**
      * Completion callback. See the threading contract above: it may
-     * run inline in call(), on a completion thread, or on the timer
-     * thread. The payload view is valid only during the call.
+     * run inline in call(), on the thread reading the response, or on
+     * the timer thread. The payload view is valid only during the
+     * call.
      */
     using Callback = std::function<void(const Status &, std::string_view)>;
 

@@ -24,7 +24,7 @@ struct PendingCall
 };
 
 /** One connection and its in-flight call table. */
-struct RpcClient::ClientConn
+struct RpcClient::ClientConn final : PollHandler
 {
     Mutex mutex{LockRank::clientConn, "rpc.client.conn"};
     /** Null/dead when down. */
@@ -48,7 +48,7 @@ struct RpcClient::ClientConn
      * instead of resetting; only a real response wipes the slate.
      */
     bool awaitingFirstResponse GUARDED_BY(mutex) = false;
-    CompletionShard *shard = nullptr;
+    EventLoop *loop = nullptr; //!< Reads this connection.
     RpcClient *owner = nullptr;
 
     bool
@@ -57,35 +57,32 @@ struct RpcClient::ClientConn
         MutexLock guard(mutex);
         return fc && !fc->isDead();
     }
-};
 
-/** Per-completion-thread poller. */
-struct RpcClient::CompletionShard
-{
-    Poller poller;
-    std::vector<ClientConn *> conns; //!< Connections swept here.
+    void
+    onPollEvent(const PollEvent &event) override
+    {
+        if (event.writable) {
+            std::shared_ptr<FramedConnection> out;
+            {
+                MutexLock guard(mutex);
+                out = fc;
+            }
+            if (out)
+                out->onWritable();
+        }
+        if (event.readable || event.error)
+            owner->onConnReadable(this);
+    }
 };
 
 RpcClient::RpcClient(uint16_t port, ClientOptions options_in)
     : options(std::move(options_in)), targetPort(port)
 {
-    MUSUITE_CHECK(options.connections >= 1) << "need >= 1 connection";
     MUSUITE_CHECK(options.completionThreads >= 1)
         << "need >= 1 completion thread";
-
     for (int i = 0; i < options.completionThreads; ++i)
-        shards.push_back(std::make_unique<CompletionShard>());
-
-    for (int i = 0; i < options.connections; ++i) {
-        auto conn = std::make_unique<ClientConn>();
-        conn->owner = this;
-        conn->shard = shards[size_t(i) % shards.size()].get();
-        conn->shard->conns.push_back(conn.get());
-        conns.push_back(std::move(conn));
-    }
-    for (auto &conn : conns)
-        ensureConnected(conn.get());
-
+        loops.push_back(std::make_shared<EventLoop>());
+    connectAll();
     for (int i = 0; i < options.completionThreads; ++i) {
         countSyscall(Sys::Clone);
         threads.emplace_back(options.name + "-cq" + std::to_string(i),
@@ -93,21 +90,50 @@ RpcClient::RpcClient(uint16_t port, ClientOptions options_in)
     }
 }
 
+RpcClient::RpcClient(uint16_t port, ClientOptions options_in,
+                     std::vector<std::shared_ptr<EventLoop>> loops_in)
+    : options(std::move(options_in)), targetPort(port),
+      loops(std::move(loops_in))
+{
+    MUSUITE_CHECK(!loops.empty()) << "need >= 1 loop";
+    MUSUITE_CHECK(options.defaultDeadlineNs == 0)
+        << "a client on another owner's loops has no deadline sweep; "
+           "use per-call CallOptions deadlines";
+    connectAll();
+}
+
+void
+RpcClient::connectAll()
+{
+    MUSUITE_CHECK(options.connections >= 1) << "need >= 1 connection";
+    for (int i = 0; i < options.connections; ++i) {
+        auto conn = std::make_unique<ClientConn>();
+        conn->owner = this;
+        conn->loop = loops[size_t(i) % loops.size()].get();
+        conns.push_back(std::move(conn));
+    }
+    for (auto &conn : conns)
+        ensureConnected(conn.get());
+}
+
 RpcClient::~RpcClient()
 {
     stopping.store(true);
-    for (auto &shard : shards)
-        shard->poller.wake();
-    threads.clear(); // Joins.
-    const Status cancelled(StatusCode::Cancelled, "client destroyed");
+    for (auto &loop : loops)
+        loop->poller().wake();
+    threads.clear(); // Joins our own pick-up threads, if any.
     for (auto &conn : conns) {
-        {
-            MutexLock guard(conn->mutex);
-            if (conn->fc)
-                conn->fc->shutdown();
-        }
-        failPending(conn.get(), cancelled);
+        MutexLock guard(conn->mutex);
+        if (conn->fc)
+            conn->fc->shutdown(); // Deregisters from its loop.
     }
+    // A loop run by another owner may be mid-pass on one of these
+    // connections; once that pass is over, none can be delivered.
+    for (auto &loop : loops)
+        loop->awaitPass();
+    const Status cancelled(StatusCode::Cancelled, "client destroyed");
+    for (auto &conn : conns)
+        failPending(conn.get(), cancelled);
 }
 
 bool
@@ -142,11 +168,10 @@ RpcClient::ensureConnected(ClientConn *conn)
             return false;
     }
     conn->awaitingFirstResponse = true;
-    conn->fc = std::make_shared<FramedConnection>(std::move(sock),
-                                                  &conn->shard->poller,
-                                                  conn);
+    conn->fc = std::make_shared<FramedConnection>(
+        std::move(sock), &conn->loop->poller(), conn);
     conn->fc->registerWithPoller();
-    conn->shard->poller.wake();
+    conn->loop->poller().wake();
     return true;
 }
 
@@ -288,7 +313,8 @@ void
 RpcClient::completionMain(size_t index)
 {
     setCurrentThreadRole(ThreadRole::completion);
-    CompletionShard &shard = *shards[index];
+    const EventLoop &loop = *loops[index];
+    Poller &poller = loops[index]->poller();
     // With deadlines armed, a blocked completion thread must still
     // wake periodically to sweep expired calls.
     const int timeout_ms =
@@ -297,32 +323,17 @@ RpcClient::completionMain(size_t index)
             : 0;
 
     while (!stopping.load(std::memory_order_acquire)) {
-        auto events = shard.poller.wait(timeout_ms);
+        auto events = poller.wait(timeout_ms);
         if (options.defaultDeadlineNs > 0)
-            sweepExpired(shard);
-        for (const PollEvent &event : events) {
-            if (event.isWakeup)
-                continue;
-            ClientConn *conn = static_cast<ClientConn *>(event.data);
-            if (event.writable) {
-                std::shared_ptr<FramedConnection> fc;
-                {
-                    MutexLock guard(conn->mutex);
-                    fc = conn->fc;
-                }
-                if (fc)
-                    fc->onWritable();
-            }
-            if (event.readable || event.error)
-                onConnReadable(conn);
-        }
+            sweepExpired(loop);
+        Poller::dispatch(events);
     }
 }
 
 void
 RpcClient::onConnReadable(ClientConn *conn)
 {
-    assertOnCompletionThread();
+    assertOnFrameReaderThread();
     std::shared_ptr<FramedConnection> fc;
     {
         MutexLock guard(conn->mutex);
@@ -403,12 +414,14 @@ RpcClient::failPending(ClientConn *conn, const Status &status)
 }
 
 void
-RpcClient::sweepExpired(CompletionShard &shard)
+RpcClient::sweepExpired(const EventLoop &loop)
 {
-    assertOnCompletionThread();
+    assertOnFrameReaderThread();
     const int64_t now = clock().nowNanos();
     std::vector<Callback> expired;
-    for (ClientConn *conn : shard.conns) {
+    for (auto &conn : conns) {
+        if (conn->loop != &loop)
+            continue;
         MutexLock guard(conn->mutex);
         for (auto it = conn->pending.begin();
              it != conn->pending.end();) {

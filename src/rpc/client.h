@@ -3,13 +3,17 @@
  * murpc asynchronous client.
  *
  * The client mirrors the µSuite mid-tier's leaf-facing side: calls are
- * fire-and-forget with completion callbacks that run on dedicated
- * response pick-up threads parked in epoll_pwait on the leaf-response
- * sockets. Requests are multiplexed over a small pool of connections
- * by request id (one shared connection per destination, per the
- * paper's Router). Dead connections fail their in-flight calls with
- * UNAVAILABLE and are re-dialed lazily, which is what Router's
- * replication pools route around.
+ * fire-and-forget with completion callbacks that run on the thread
+ * reading the response socket. A client built from a port alone runs
+ * its own response pick-up threads parked in epoll_pwait (the paper's
+ * response threads, Fig. 8); one opened by rpc::Server::dial starts
+ * no thread and rides the server's pollers instead, so a
+ * run-to-completion mid-tier reads and merges leaf replies on the
+ * poller that ran the handler. Requests are multiplexed over a small
+ * pool of connections by request id (one shared connection per
+ * destination, per the paper's Router). Dead connections fail their
+ * in-flight calls with UNAVAILABLE and are re-dialed lazily, which is
+ * what Router's replication pools route around.
  */
 
 #ifndef MUSUITE_RPC_CLIENT_H
@@ -34,7 +38,8 @@ namespace rpc {
 struct ClientOptions
 {
     int connections = 1;       //!< TCP connections to the target.
-    int completionThreads = 1; //!< Response pick-up threads.
+    /** Response pick-up threads (none when dialed by a Server). */
+    int completionThreads = 1;
     bool blockingPoll = true;  //!< false: busy-poll completions.
     std::string name = "cli";
     /**
@@ -44,7 +49,8 @@ struct ClientOptions
      * it expires complete with DEADLINE_EXCEEDED (a late server
      * response is then dropped and counted). Expiry is swept by the
      * completion threads, so enforcement granularity is ~the sweep
-     * interval (10 ms).
+     * interval (10 ms). A client dialed onto a server's pollers has
+     * no sweep and requires 0.
      */
     int64_t defaultDeadlineNs = 0;
     /**
@@ -65,8 +71,25 @@ struct ClientOptions
 class RpcClient : public Channel
 {
   public:
-    /** Dial 127.0.0.1:port. Failure leaves the client unhealthy. */
+    /**
+     * Dial 127.0.0.1:port and start options.completionThreads pick-up
+     * threads. Failure leaves the client unhealthy.
+     */
     RpcClient(uint16_t port, ClientOptions options = {});
+
+    /**
+     * Dial 127.0.0.1:port with connections spread over `loops`, which
+     * threads owned elsewhere run (rpc::Server::dial); starts no
+     * thread. Check-fails on options.defaultDeadlineNs > 0: the
+     * backstop sweep needs a loop of the client's own.
+     */
+    RpcClient(uint16_t port, ClientOptions options,
+              std::vector<std::shared_ptr<EventLoop>> loops);
+
+    /**
+     * Fails every pending call with CANCELLED. Must not run on one of
+     * the client's loop threads.
+     */
     ~RpcClient() override;
 
     /** True if at least one connection is up. */
@@ -118,19 +141,22 @@ class RpcClient : public Channel
 
   private:
     struct ClientConn;
-    struct CompletionShard;
 
+    /** Open options.connections connections spread over `loops`. */
+    void connectAll();
     void completionMain(size_t index);
     void onConnReadable(ClientConn *conn);
     void failPending(ClientConn *conn, const Status &status);
     bool ensureConnected(ClientConn *conn);
-    /** Fail calls whose deadline passed (completion threads). */
-    void sweepExpired(CompletionShard &shard);
+    /** Fail calls on `loop`'s connections whose deadline passed. */
+    void sweepExpired(const EventLoop &loop);
 
     ClientOptions options;
     uint16_t targetPort;
 
-    std::vector<std::unique_ptr<CompletionShard>> shards;
+    /** Loops reading the connections: the client's own (one per
+     *  pick-up thread) or a server's (dialed, no threads). */
+    std::vector<std::shared_ptr<EventLoop>> loops;
     std::vector<std::unique_ptr<ClientConn>> conns;
     std::vector<ScopedThread> threads;
 

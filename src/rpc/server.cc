@@ -13,6 +13,7 @@
 #include "base/logging.h"
 #include "ostrace/ostrace.h"
 #include "ostrace/syscalls.h"
+#include "rpc/client.h"
 #include "serde/wire.h"
 #include "stats/counters.h"
 
@@ -23,13 +24,14 @@ namespace {
 
 /**
  * Write-combining context for response frames. While a drain loop
- * (worker batch or run-to-completion poller event) is executing
- * handlers, the thread's active batch collects every response frame
- * produced synchronously; the drain flushes them afterwards grouped by
- * connection — one cork/uncork (ideally one sendmsg) per connection
- * per drain instead of one per response. Responses completed later
- * from other threads (async handlers) miss the batch and flush
- * directly, exactly as before.
+ * (worker batch or poller pass) is running, the thread's active batch
+ * collects every response frame produced on it: admission sheds,
+ * handlers served to completion, and fan-out merges completed by leaf
+ * replies read in the same pass. The drain flushes them afterwards
+ * grouped by connection — one cork/uncork (ideally one sendmsg) per
+ * connection per drain instead of one per response. Responses
+ * completed from other threads (timers, pick-up threads) miss the
+ * batch and flush directly.
  */
 struct ResponseBatch
 {
@@ -126,22 +128,41 @@ ServerCall::remainingBudgetNs() const
 }
 
 /** One accepted connection plus its routing back-pointers. */
-struct Server::Conn
+struct Server::Conn final : PollHandler
 {
     std::shared_ptr<FramedConnection> fc;
     Server *server = nullptr;
     PollerShard *shard = nullptr;
+
+    void
+    onPollEvent(const PollEvent &event) override
+    {
+        server->onConnEvent(this, event);
+    }
 };
 
-/** Per-poller-thread state. */
+/** The listening socket's handler (registered on shard 0). */
+struct Server::Acceptor final : PollHandler
+{
+    Server *server = nullptr;
+
+    void
+    onPollEvent(const PollEvent &) override
+    {
+        server->acceptPending();
+    }
+};
+
+/**
+ * Per-poller-thread state. The loop is shared with the clients dial()
+ * spreads over it, which keep it alive after the server is gone.
+ */
 struct Server::PollerShard
 {
-    Poller poller;
+    std::shared_ptr<EventLoop> loop = std::make_shared<EventLoop>();
     Mutex connMutex{LockRank::serverConns, "rpc.server.conns"};
     std::unordered_map<Conn *, std::unique_ptr<Conn>> conns
         GUARDED_BY(connMutex);
-    /** Distinct cookie marking listener readiness (shard 0 only). */
-    char listenerTag = 0;
 
     void
     adopt(std::unique_ptr<Conn> conn)
@@ -176,6 +197,8 @@ Server::Server(ServerOptions options_in)
     MUSUITE_CHECK(options.pollerThreads >= 1) << "need >= 1 poller";
     MUSUITE_CHECK(!options.dispatchToWorkers || options.workerThreads >= 1)
         << "dispatch mode needs >= 1 worker";
+    for (int i = 0; i < options.pollerThreads; ++i)
+        shards.push_back(std::make_unique<PollerShard>());
 }
 
 Server::~Server()
@@ -205,11 +228,9 @@ Server::start()
 
     listener = std::make_unique<TcpListener>();
     listenPort = listener->port();
-
-    shards.clear();
-    for (int i = 0; i < options.pollerThreads; ++i)
-        shards.push_back(std::make_unique<PollerShard>());
-    shards[0]->poller.add(listener->fd(), &shards[0]->listenerTag, false);
+    acceptor = std::make_unique<Acceptor>();
+    acceptor->server = this;
+    shards[0]->loop->poller().add(listener->fd(), acceptor.get(), false);
 
     for (int i = 0; i < options.pollerThreads; ++i) {
         countSyscall(Sys::Clone);
@@ -232,13 +253,26 @@ Server::stop()
         return;
     taskQueue.close();
     for (auto &shard : shards)
-        shard->poller.wake();
+        shard->loop->poller().wake();
     threads.clear(); // Joins everything.
     for (auto &shard : shards)
         shard->clear();
-    shards.clear();
+    // The loops outlive this server when dialed clients ride them.
+    shards[0]->loop->poller().remove(listener->fd());
     listener.reset();
+    acceptor.reset();
     running.store(false);
+}
+
+std::shared_ptr<RpcClient>
+Server::dial(uint16_t port, ClientOptions client_options)
+{
+    std::vector<std::shared_ptr<EventLoop>> loops;
+    const size_t first = nextShard.fetch_add(1);
+    for (size_t i = 0; i < shards.size(); ++i)
+        loops.push_back(shards[(first + i) % shards.size()]->loop);
+    return std::make_shared<RpcClient>(port, std::move(client_options),
+                                       std::move(loops));
 }
 
 void
@@ -254,9 +288,8 @@ Server::acceptPending()
         auto conn = std::make_unique<Conn>();
         conn->server = this;
         conn->shard = shard;
-        conn->fc = std::make_shared<FramedConnection>(std::move(sock),
-                                                      &shard->poller,
-                                                      conn.get());
+        conn->fc = std::make_shared<FramedConnection>(
+            std::move(sock), &shard->loop->poller(), conn.get());
         Conn *key = conn.get();
         shard->adopt(std::move(conn));
         key->fc->registerWithPoller();
@@ -267,10 +300,11 @@ void
 Server::pollerMain(size_t index)
 {
     setCurrentThreadRole(ThreadRole::poller);
-    PollerShard &shard = *shards[index];
+    EventLoop &loop = *shards[index]->loop;
     const int static_timeout_ms = options.blockingPoll ? -1 : 0;
     int empty_streak = 0;
 
+    loop.enter();
     while (!stopping.load(std::memory_order_acquire)) {
         int timeout_ms = static_timeout_ms;
         if (options.adaptiveIdleStreak > 0) {
@@ -279,49 +313,25 @@ Server::pollerMain(size_t index)
             timeout_ms =
                 empty_streak >= options.adaptiveIdleStreak ? -1 : 0;
         }
-        auto events = shard.poller.wait(timeout_ms);
+        auto events = loop.poller().wait(timeout_ms);
         if (events.empty()) {
             if (empty_streak < INT_MAX)
                 ++empty_streak;
         } else {
             empty_streak = 0;
         }
-        for (const PollEvent &event : events) {
-            if (event.isWakeup)
-                continue;
-            if (event.data == &shard.listenerTag) {
-                acceptPending();
-                continue;
-            }
-            Conn *conn = static_cast<Conn *>(event.data);
-            if (event.error) {
-                shard.drop(conn);
-                continue;
-            }
-            if (event.writable)
-                conn->fc->onWritable();
-            if (event.readable) {
-                // Batch contexts for this event: the calls parsed in
-                // one onReadable are handed off together (one pushAll,
-                // one futex round, when dispatching), and every
-                // response produced on this thread — admission and
-                // overflow sheds, inline-served handlers — coalesces
-                // into one flush per connection.
-                ResponseBatch responses;
-                std::vector<ServerCallPtr> calls;
-                activeResponseBatch = &responses;
-                const bool alive = conn->fc->onReadable(
-                    [this, conn, &calls](std::string_view frame) {
-                        handleFrame(conn, frame, calls);
-                    });
-                handOff(calls);
-                activeResponseBatch = nullptr;
-                flushResponseBatch(responses);
-                if (!alive)
-                    shard.drop(conn);
-            }
-        }
+        // Every response produced on this thread during the pass —
+        // admission and overflow sheds, inline-served handlers, and
+        // merges completed by leaf replies read here — coalesces into
+        // one flush per connection.
+        ResponseBatch responses;
+        activeResponseBatch = &responses;
+        Poller::dispatch(events);
+        activeResponseBatch = nullptr;
+        flushResponseBatch(responses);
+        loop.endPass();
     }
+    loop.leave();
 }
 
 void
@@ -341,6 +351,30 @@ Server::workerMain(size_t)
         activeResponseBatch = nullptr;
         flushResponseBatch(responses);
     }
+}
+
+void
+Server::onConnEvent(Conn *conn, const PollEvent &event)
+{
+    PollerShard &shard = *conn->shard;
+    if (event.error) {
+        shard.drop(conn);
+        return;
+    }
+    if (event.writable)
+        conn->fc->onWritable();
+    if (!event.readable)
+        return;
+    // The calls parsed in one onReadable are handed off together: one
+    // pushAll, one futex round, when dispatching.
+    std::vector<ServerCallPtr> calls;
+    const bool alive = conn->fc->onReadable(
+        [this, conn, &calls](std::string_view frame) {
+            handleFrame(conn, frame, calls);
+        });
+    handOff(calls);
+    if (!alive)
+        shard.drop(conn);
 }
 
 void
@@ -409,11 +443,10 @@ Server::handleFrame(Conn *conn, std::string_view frame,
         reject.method = method;
         reject.requestId = request_id;
         reject.budgetNs = hint;
-        std::string frame = encodeFrame(reject, "");
-        if (ResponseBatch *batch = activeResponseBatch)
-            batch->entries.push_back({conn->fc, std::move(frame)});
-        else
-            conn->fc->sendFrameOwned(std::move(frame));
+        // handleFrame runs only inside a poller pass, whose batch is
+        // always active.
+        activeResponseBatch->entries.push_back(
+            {conn->fc, encodeFrame(reject, "")});
         return;
     }
 

@@ -21,8 +21,12 @@
  * pass leave in one flush per connection.
  *
  * Handlers receive a shared ServerCall and may respond from any
- * thread, which is how mid-tiers respond from leaf-response completion
- * threads after fan-out merges.
+ * thread. The poller shards exist from construction, and dial() opens
+ * an RpcClient whose connections ride them: a run-to-completion
+ * mid-tier's leaf replies are then read, counted down and merged on
+ * the poller that ran the handler, and the merged response joins that
+ * pass's flush. A mid-tier dialing plain RpcClients instead (the
+ * Fig. 8 pipeline) responds from their leaf-response pick-up threads.
  *
  * OVERLOAD CONTROL (rpc/overload.h): three shedding tiers keep the
  * server's goodput near peak once offered load passes saturation.
@@ -67,6 +71,9 @@ namespace musuite {
 class Clock;
 
 namespace rpc {
+
+class RpcClient;
+struct ClientOptions;
 
 /** Threading-model knobs (paper §IV design + §VII ablations). */
 struct ServerOptions
@@ -249,6 +256,19 @@ class Server
     /** Bind an ephemeral loopback port and spawn all threads. */
     void start();
 
+    /**
+     * Dial 127.0.0.1:port with a client that starts no thread: its
+     * connections are spread over this server's pollers, which read
+     * the replies and run the completions between their own events.
+     * Callable before start(); replies are read once the pollers run.
+     * The client keeps the pollers' epoll sets alive, so it may
+     * outlive the server; calls still pending when the server stops
+     * complete when the client is destroyed (CANCELLED). It has no
+     * backstop sweep: options.defaultDeadlineNs must be 0 (per-call
+     * CallOptions deadlines are timer-driven and work as usual).
+     */
+    std::shared_ptr<RpcClient> dial(uint16_t port, ClientOptions options);
+
     /** Stop threads and close all connections. Idempotent. */
     void stop();
 
@@ -279,11 +299,14 @@ class Server
 
   private:
     struct Conn;
+    struct Acceptor;
     struct PollerShard;
 
     void pollerMain(size_t index);
     void workerMain(size_t index);
     void acceptPending();
+    /** One readiness event on a front-end connection. */
+    void onConnEvent(Conn *conn, const PollEvent &event);
     /** Parse and admit one request frame into the event's batch. */
     void handleFrame(Conn *conn, std::string_view frame,
                      std::vector<ServerCallPtr> &batch);
@@ -305,6 +328,7 @@ class Server
     std::map<uint32_t, Handler> handlers;
 
     std::unique_ptr<TcpListener> listener;
+    std::unique_ptr<Acceptor> acceptor;
     uint16_t listenPort = 0;
 
     std::vector<std::unique_ptr<PollerShard>> shards;

@@ -3,11 +3,11 @@
  * Asynchronous fan-out/merge helper shared by every µSuite mid-tier.
  *
  * The mid-tier request path launches one RPC per leaf shard and
- * returns; leaf responses arrive on the client's completion threads,
- * which "count down and merge" (paper §IV): every response thread
- * stashes its payload and counts down, and only the completing one
- * does real work — running the merge functor and completing the
- * parent RPC.
+ * returns; each leaf reply is read by the thread polling its channel
+ * (the mid-tier's own poller when run to completion, a pick-up thread
+ * per channel in the Fig. 8 pipeline), which "counts down and merges"
+ * (paper §IV): every leg stashes its payload and counts down, and only
+ * the completing one runs the merge and completes the parent RPC.
  *
  * Resilience (the fan-out is where a single slow or dead leaf defines
  * the parent's tail):
@@ -26,12 +26,12 @@
  *    and dropped.
  *
  * THREADING CONTRACT: on_complete is invoked exactly once, on the
- * thread of whichever leg completes the fan-out — a completion
- * thread, the bound clock's timer-dispatch context, or *synchronously
+ * thread of whichever leg completes the fan-out — the server poller a
+ * dialed channel rides, a channel's pick-up thread, the timer context,
+ * the thread destroying a channel (CANCELLED legs), or *synchronously
  * on the caller's own thread* when every leg fails inline (e.g.
  * connect failure on every channel). Merge code must not hold locks
- * across fanoutCall() that on_complete also takes, and must not
- * assume completion-thread context.
+ * across fanoutCall() that on_complete also takes, nor assume a thread.
  *
  * CLOCK SEAM: the fan-out itself never reads a clock — each leg's
  * deadline/retry/hedge timers run on that leg's channel clock, and

@@ -58,18 +58,20 @@ MidTier::handle(rpc::ServerCallPtr call)
                [this, call](FanoutOutcome outcome) {
                    double sum = 0.0;
                    uint32_t answered = 0;
-                   bool downstream_degraded = false;
+                   bool partial = outcome.degraded;
                    for (const LeafResult &result : outcome.results) {
                        if (!result.status.isOk())
                            continue;
                        RatingReply reply;
-                       if (decodeMessage(result.payload, reply)) {
-                           sum += reply.rating;
-                           ++answered;
-                           // OR through a downstream mid-tier's own
-                           // degraded answer (multi-hop propagation).
-                           downstream_degraded |= reply.degraded;
+                       if (!decodeMessage(result.payload, reply)) {
+                           partial = true; // An OK leg's answer lost.
+                           continue;
                        }
+                       sum += reply.rating;
+                       ++answered;
+                       // OR through a downstream mid-tier's own
+                       // degraded answer (multi-hop propagation).
+                       partial |= reply.degraded;
                    }
                    if (answered == 0) {
                        respondFailure(
@@ -79,8 +81,7 @@ MidTier::handle(rpc::ServerCallPtr call)
                    }
                    RatingReply averaged;
                    averaged.rating = sum / double(answered);
-                   averaged.degraded =
-                       outcome.degraded || downstream_degraded;
+                   averaged.degraded = partial;
                    if (averaged.degraded)
                        degraded.fetch_add(1,
                                           std::memory_order_relaxed);

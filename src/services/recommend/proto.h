@@ -6,6 +6,7 @@
 #ifndef MUSUITE_SERVICES_RECOMMEND_PROTO_H
 #define MUSUITE_SERVICES_RECOMMEND_PROTO_H
 
+#include <cmath>
 #include <cstdint>
 
 #include "serde/wire.h"
@@ -54,13 +55,16 @@ struct RatingReply
         out.putBool(degraded);
     }
 
+    /** Rejects trailing bytes and a rating that is not finite: a
+     *  raw double takes any 8 bytes, so these are what tell a
+     *  garbled reply from a prediction. */
     bool
     decode(WireReader &in)
     {
         rating = in.getDouble();
         // Trailing optional field: absent in pre-resilience payloads.
         degraded = in.remaining() > 0 ? in.getBool() : false;
-        return in.ok();
+        return in.atEnd() && std::isfinite(rating);
     }
 };
 

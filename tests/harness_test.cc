@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <filesystem>
+#include <fstream>
+
 #include "harness/deployment.h"
 #include "harness/experiment.h"
 #include "index/postings.h"
@@ -124,6 +128,38 @@ TEST_P(DeploymentTest, RunToCompletionWindowHasNoFutexWaits)
               0u);
 }
 
+/** Threads of this process whose name contains `part`. */
+size_t
+threadsNamed(const std::string &part)
+{
+    size_t count = 0;
+    for (const auto &task :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+        std::ifstream comm(task.path() / "comm");
+        std::string name;
+        std::getline(comm, name);
+        count += name.find(part) != std::string::npos;
+    }
+    return count;
+}
+
+TEST_P(DeploymentTest, RunToCompletionStartsNoPickUpThreads)
+{
+    // Leaf channels ride the mid-tier's pollers: no response pick-up
+    // ("-cq") thread anywhere, and queries are still answered.
+    auto deployment =
+        ServiceDeployment::create(GetParam(), tinyOptions());
+    EXPECT_EQ(threadsNamed("-cq"), 0u);
+    rpc::RpcClient client(deployment->midTierPort());
+    Rng rng(3);
+    for (int q = 0; q < 5; ++q) {
+        auto result =
+            client.callSync(deployment->frontEndMethod(),
+                            deployment->sampleRequestBody(rng));
+        ASSERT_TRUE(result.isOk()) << result.status().toString();
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllServices, DeploymentTest,
     ::testing::Values(ServiceKind::HdSearch, ServiceKind::Router,
@@ -170,6 +206,52 @@ TEST(DeploymentTest2, KillLeafDegradesButDoesNotCrash)
     }
     // Set Algebra merges whatever shards respond: all queries answer.
     EXPECT_EQ(ok, 10);
+}
+
+TEST(DeploymentTest2, DispatchingMidTierKeepsPickUpThreads)
+{
+    // The Fig. 8 pipeline the figure benches pin keeps one response
+    // pick-up thread per leaf channel.
+    DeploymentOptions options = tinyOptions();
+    options.midTierServer.dispatchToWorkers = true;
+    auto deployment =
+        ServiceDeployment::create(ServiceKind::SetAlgebra, options);
+    EXPECT_EQ(threadsNamed("-cq"), deployment->leafCount());
+}
+
+TEST(DeploymentTest2, TeardownWithLegsInFlightCompletesEachLegOnce)
+{
+    // Legs issued straight on the mid-tier's leaf channels, then a
+    // leaf is killed and the deployment destroyed while they are in
+    // flight: no hang, and every leg completes exactly once — answered,
+    // failed by the dead leaf, or cancelled when its channel goes.
+    constexpr size_t legs = 400;
+    std::vector<std::atomic<int>> hits(2 * legs);
+    std::vector<std::shared_ptr<rpc::Channel>> channels;
+    {
+        auto deployment = ServiceDeployment::create(
+            ServiceKind::SetAlgebra, tinyOptions());
+        channels = {deployment->leafChannel(0),
+                    deployment->leafChannel(1)};
+        Rng rng(5);
+        for (size_t i = 0; i < 2 * legs; ++i) {
+            channels[i % 2]->call(
+                setalgebra::kIntersect,
+                deployment->sampleRequestBody(rng),
+                [&hits, i](const Status &, std::string_view) {
+                    hits[i].fetch_add(1);
+                });
+            if (i == legs)
+                deployment->killLeaf(1);
+        }
+    }
+    channels.clear(); // The last owners: pending legs are cancelled.
+    size_t once = 0;
+    for (const auto &hit : hits) {
+        EXPECT_LE(hit.load(), 1);
+        once += hit.load() == 1;
+    }
+    EXPECT_EQ(once, hits.size());
 }
 
 TEST(DeploymentTest2, SetAlgebraShardsAnswerLikeOneIndex)

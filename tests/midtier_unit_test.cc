@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "index/lsh.h"
@@ -666,6 +667,58 @@ TEST(HdSearchMidTierTest, GarbledLegDegradesAndAllGarbledFails)
                         encodeMessage(query));
     ASSERT_TRUE(out.responded);
     EXPECT_EQ(out.code, StatusCode::Unavailable);
+}
+
+TEST(RecommendMidTierTest, GarbledLegDegradesAndAllGarbledFails)
+{
+    recommend::RatingReply rating;
+    rating.rating = 4.0;
+    auto good = std::make_shared<ScriptedChannel>(
+        ScriptedChannel::Mode::Reply, encodeMessage(rating));
+    auto garbled = std::make_shared<ScriptedChannel>(
+        ScriptedChannel::Mode::Garbage);
+    recommend::RatingQuery query;
+    query.user = 1;
+    query.item = 2;
+
+    // The garbled leg is not averaged in: the prediction is the good
+    // leg's alone, flagged degraded.
+    recommend::MidTier partial({good, garbled});
+    rpc::Server host;
+    partial.registerWith(host);
+    CapturedResponse out =
+        invokeMidTier(host, recommend::kPredict, encodeMessage(query));
+    ASSERT_TRUE(out.responded);
+    EXPECT_EQ(out.code, StatusCode::Ok);
+    recommend::RatingReply averaged;
+    ASSERT_TRUE(decodeMessage(out.payload, averaged));
+    EXPECT_DOUBLE_EQ(averaged.rating, 4.0);
+    EXPECT_TRUE(averaged.degraded);
+
+    recommend::MidTier hollow({garbled, garbled});
+    rpc::Server hollow_host;
+    hollow.registerWith(hollow_host);
+    out = invokeMidTier(hollow_host, recommend::kPredict,
+                        encodeMessage(query));
+    ASSERT_TRUE(out.responded);
+    EXPECT_EQ(out.code, StatusCode::Unavailable);
+}
+
+TEST(RecommendProtoTest, RatingReplyRejectsTrailingBytesAndNonFinite)
+{
+    recommend::RatingReply reply;
+    reply.rating = 3.5;
+    reply.degraded = true;
+    recommend::RatingReply decoded;
+    ASSERT_TRUE(decodeMessage(encodeMessage(reply), decoded));
+    EXPECT_DOUBLE_EQ(decoded.rating, 3.5);
+    EXPECT_TRUE(decoded.degraded);
+
+    EXPECT_FALSE(decodeMessage(encodeMessage(reply) + "x", decoded));
+    reply.rating = std::nan("");
+    EXPECT_FALSE(decodeMessage(encodeMessage(reply), decoded));
+    reply.rating = HUGE_VAL;
+    EXPECT_FALSE(decodeMessage(encodeMessage(reply), decoded));
 }
 
 } // namespace

@@ -134,12 +134,18 @@ TEST(TcpSocketTest, ConnectToDeadPortFails)
     EXPECT_FALSE(socket.valid());
 }
 
+/** A handler that only marks which descriptor an event names. */
+struct NullHandler : PollHandler
+{
+    void onPollEvent(const PollEvent &) override {}
+};
+
 TEST(PollerTest, ReportsReadReadiness)
 {
     SocketPair pair;
     Poller poller;
-    char cookie;
-    poller.add(pair.server.fd(), &cookie, false);
+    NullHandler handler;
+    poller.add(pair.server.fd(), &handler, false);
 
     size_t sent;
     pair.client.send("x", 1, sent);
@@ -148,7 +154,7 @@ TEST(PollerTest, ReportsReadReadiness)
     ASSERT_FALSE(events.empty());
     bool found = false;
     for (const PollEvent &event : events) {
-        if (event.data == &cookie && event.readable)
+        if (event.handler == &handler && event.readable)
             found = true;
     }
     EXPECT_TRUE(found);
@@ -182,12 +188,12 @@ TEST(PollerTest, WriteInterestDeliversWritable)
 {
     SocketPair pair;
     Poller poller;
-    char cookie;
-    poller.add(pair.client.fd(), &cookie, true);
+    NullHandler handler;
+    poller.add(pair.client.fd(), &handler, true);
     auto events = poller.wait(1000);
     bool writable = false;
     for (const PollEvent &event : events) {
-        if (event.data == &cookie && event.writable)
+        if (event.handler == &handler && event.writable)
             writable = true;
     }
     EXPECT_TRUE(writable); // Fresh socket: send buffer has room.

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -460,6 +461,219 @@ TEST_F(RpcTest, OversizedPayloadFailsCallNotProcess)
     auto ok = client.callSync(kEcho, "after oversize");
     ASSERT_TRUE(ok.isOk()) << ok.status().toString();
     EXPECT_EQ(ok.value(), "after oversize");
+}
+
+// --------------------------------------------------------------------
+// Clients dialed onto a server's pollers (Server::dial)
+// --------------------------------------------------------------------
+
+constexpr uint32_t kFanout = 10;
+constexpr uint32_t kHold = 11;
+
+/** Leaf that keeps every request unanswered, so calls stay pending. */
+class HoldingLeaf
+{
+  public:
+    HoldingLeaf()
+    {
+        server.registerHandler(kHold, [this](ServerCallPtr call) {
+            MutexLock lock(mutex);
+            held.push_back(std::move(call));
+        });
+        server.start();
+    }
+
+    size_t
+    heldCount()
+    {
+        MutexLock lock(mutex);
+        return held.size();
+    }
+
+    /** Wait (bounded) until `count` requests arrived. */
+    bool
+    awaitHeld(size_t count)
+    {
+        const int64_t deadline = nowNanos() + 5'000'000'000;
+        while (heldCount() < count && nowNanos() < deadline)
+            sleepForNanos(1'000'000);
+        return heldCount() >= count;
+    }
+
+    Server server;
+
+  private:
+    Mutex mutex;
+    std::vector<ServerCallPtr> held GUARDED_BY(mutex);
+};
+
+/** Per-call completion counts for calls issued through one channel. */
+struct CompletionLedger
+{
+    explicit CompletionLedger(size_t calls) : hits(calls) {}
+
+    Channel::Callback
+    callback(size_t i)
+    {
+        return [this, i](const Status &status, std::string_view) {
+            hits[i].fetch_add(1);
+            if (status.code() == StatusCode::Cancelled)
+                cancelled.fetch_add(1);
+        };
+    }
+
+    size_t
+    completedOnce() const
+    {
+        size_t once = 0;
+        for (const auto &hit : hits)
+            once += hit.load() == 1;
+        return once;
+    }
+
+    bool
+    anyTwice() const
+    {
+        for (const auto &hit : hits) {
+            if (hit.load() > 1)
+                return true;
+        }
+        return false;
+    }
+
+    std::vector<std::atomic<int>> hits;
+    std::atomic<size_t> cancelled{0};
+};
+
+ServerOptions
+runToCompletion()
+{
+    ServerOptions options;
+    options.dispatchToWorkers = false;
+    options.name = "mid";
+    return options;
+}
+
+TEST(DialedClientTest, LeafRepliesMergeOnTheHandlersPoller)
+{
+    Server leaf(runToCompletion());
+    leaf.registerHandler(kEcho, [](ServerCallPtr call) {
+        call->respondOk(call->body());
+    });
+    leaf.start();
+
+    // Dialed before start(): the mid-tier's pollers exist from
+    // construction.
+    Server mid(runToCompletion());
+    std::shared_ptr<RpcClient> toLeaf = mid.dial(leaf.port(), {});
+    std::atomic<bool> sameThread{true};
+    std::atomic<int> merges{0};
+    mid.registerHandler(kFanout, [&](ServerCallPtr call) {
+        const std::thread::id handler = std::this_thread::get_id();
+        constexpr int legs = 3;
+        auto state = std::make_shared<std::pair<std::atomic<int>,
+                                                std::string>>();
+        state->first = legs;
+        for (int leg = 0; leg < legs; ++leg) {
+            toLeaf->call(kEcho, std::to_string(leg),
+                         [&, call, state, handler](
+                             const Status &status,
+                             std::string_view payload) {
+                             if (std::this_thread::get_id() != handler)
+                                 sameThread = false;
+                             // All legs complete on one thread: no
+                             // lock needed for the merge.
+                             state->second.append(
+                                 status.isOk() ? payload : "!");
+                             if (--state->first == 0) {
+                                 merges.fetch_add(1);
+                                 call->respondOk(state->second);
+                             }
+                         });
+        }
+    });
+    mid.start();
+
+    RpcClient frontEnd(mid.port());
+    for (int i = 0; i < 20; ++i) {
+        auto result = frontEnd.callSync(kFanout, "");
+        ASSERT_TRUE(result.isOk()) << result.status().toString();
+        std::string merged = result.value();
+        std::sort(merged.begin(), merged.end());
+        EXPECT_EQ(merged, "012");
+    }
+    EXPECT_EQ(merges.load(), 20);
+    EXPECT_TRUE(sameThread.load())
+        << "a leaf reply was merged off the handler's poller";
+}
+
+TEST(DialedClientTest, PendingCallsCompleteExactlyOnceOnAnyTeardown)
+{
+    constexpr size_t calls = 64;
+    Server mid(runToCompletion());
+    mid.start();
+
+    // 1. The leaf dies with calls in flight: each fails once, on the
+    //    mid-tier's poller, without any thread of the client's own.
+    {
+        HoldingLeaf leaf;
+        CompletionLedger ledger(calls);
+        std::shared_ptr<RpcClient> client =
+            mid.dial(leaf.server.port(), {});
+        for (size_t i = 0; i < calls; ++i)
+            client->call(kHold, "", ledger.callback(i));
+        ASSERT_TRUE(leaf.awaitHeld(calls));
+        leaf.server.stop();
+        const int64_t deadline = nowNanos() + 5'000'000'000;
+        while (ledger.completedOnce() < calls && nowNanos() < deadline)
+            sleepForNanos(1'000'000);
+        EXPECT_EQ(ledger.completedOnce(), calls);
+        EXPECT_FALSE(ledger.anyTwice());
+    }
+
+    // 2. The client goes while the mid-tier's poller runs: every
+    //    pending call is cancelled once, before the destructor returns.
+    {
+        HoldingLeaf leaf;
+        CompletionLedger ledger(calls);
+        std::shared_ptr<RpcClient> client =
+            mid.dial(leaf.server.port(), {});
+        for (size_t i = 0; i < calls; ++i)
+            client->call(kHold, "", ledger.callback(i));
+        ASSERT_TRUE(leaf.awaitHeld(calls));
+        client.reset();
+        EXPECT_EQ(ledger.completedOnce(), calls);
+        EXPECT_EQ(ledger.cancelled.load(), calls);
+    }
+
+    // 3. The server whose pollers the client rides goes first: the
+    //    client keeps the loops alive and cancels on its own teardown.
+    {
+        HoldingLeaf leaf;
+        auto host = std::make_unique<Server>(runToCompletion());
+        host->start();
+        CompletionLedger ledger(calls);
+        std::shared_ptr<RpcClient> client =
+            host->dial(leaf.server.port(), {});
+        for (size_t i = 0; i < calls; ++i)
+            client->call(kHold, "", ledger.callback(i));
+        ASSERT_TRUE(leaf.awaitHeld(calls));
+        host.reset();
+        EXPECT_EQ(ledger.completedOnce(), 0u);
+        client.reset();
+        EXPECT_EQ(ledger.completedOnce(), calls);
+        EXPECT_EQ(ledger.cancelled.load(), calls);
+    }
+}
+
+TEST(DialedClientDeathTest, DefaultDeadlineIsRejected)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    Server host(runToCompletion());
+    TcpListener target;
+    ClientOptions options;
+    options.defaultDeadlineNs = 10'000'000;
+    EXPECT_DEATH(host.dial(target.port(), options), "no deadline sweep");
 }
 
 } // namespace
