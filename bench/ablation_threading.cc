@@ -19,7 +19,7 @@
  * poller (no pick-up threads). Each serves
  * the same open-loop load on the Router service (the most
  * latency-sensitive of the four); we report the latency distribution
- * and the futex/contention counters per variant.
+ * and the futex, sendmsg, recvmsg and contention counters per variant.
  *
  * Flags: --qps=N --window-ms=N --service=router|hdsearch|...
  */
@@ -75,7 +75,7 @@ main(int argc, char **argv)
     };
 
     Table table({"variant", "p50", "p99", "max", "futex/query",
-                 "hitm", "cs"});
+                 "sendmsg/query", "recvmsg/query", "hitm", "cs"});
     for (const Variant &variant : variants) {
         DeploymentOptions options = bench::realModeOptions(flags);
         for (rpc::ServerOptions *tier :
@@ -97,17 +97,20 @@ main(int argc, char **argv)
         const WindowReport report =
             runOpenLoopWindow(*deployment, window);
 
-        const double futex_per_query =
-            report.load.completed
-                ? double(report.syscalls[size_t(Sys::Futex)]) /
-                      double(report.load.completed)
-                : 0.0;
+        const auto per_query = [&report](Sys sys) {
+            return report.load.completed
+                       ? double(report.syscalls[size_t(sys)]) /
+                             double(report.load.completed)
+                       : 0.0;
+        };
         table.row()
             .cell(variant.name)
             .nanos(report.load.latency.valueAtQuantile(0.5))
             .nanos(report.load.latency.valueAtQuantile(0.99))
             .nanos(report.load.latency.maxValue())
-            .cell(futex_per_query, 2)
+            .cell(per_query(Sys::Futex), 2)
+            .cell(per_query(Sys::Sendmsg), 2)
+            .cell(per_query(Sys::Recvmsg), 2)
             .cell(report.hitmEvents)
             .cell(report.contextSwitches.total());
     }

@@ -19,6 +19,9 @@ namespace {
 /** Frames rejected on the send side for exceeding maxFrameBytes. */
 std::atomic<uint64_t> oversizedSends{0};
 
+/** The calling thread's open drain batch, if any. */
+thread_local DrainWriteBatch *activeDrainBatch = nullptr;
+
 } // namespace
 
 uint64_t
@@ -179,12 +182,25 @@ FramedConnection::cork()
 bool
 FramedConnection::uncork()
 {
+    return release(false);
+}
+
+bool
+FramedConnection::uncorkAndFlush()
+{
+    return release(true);
+}
+
+bool
+FramedConnection::release(bool flush_all)
+{
     bool ok;
     {
         MutexLock lock(outMutex);
         MUSUITE_CHECK(corkDepth > 0) << "uncork without matching cork";
         --corkDepth;
-        ok = corkDepth == 0 ? flushLocked(lock) : true;
+        flushAll = flushAll || flush_all;
+        ok = flushLocked(lock);
     }
     if (!ok)
         shutdown();
@@ -204,12 +220,12 @@ FramedConnection::queueLocked(std::string &&payload)
 bool
 FramedConnection::flushLocked(MutexLock &lock)
 {
-    if (flushing || corkDepth > 0)
+    if (flushing || (corkDepth > 0 && !flushAll))
         return true; // The active flusher / uncork will drain us.
     flushing = true;
 
     bool ok = true;
-    while (!outQueue.empty() && corkDepth == 0) {
+    while (!outQueue.empty() && (corkDepth == 0 || flushAll)) {
         // Build the scatter list: {header, payload} per frame, the
         // front frame offset by outCursor.
         struct iovec iov[2 * maxFramesPerFlush];
@@ -275,6 +291,7 @@ FramedConnection::flushLocked(MutexLock &lock)
     flushing = false;
     if (outQueue.empty()) {
         outCursor = 0;
+        flushAll = false;
         if (writeArmed && poller && !isDead()) {
             writeArmed = false;
             poller->modify(sock.fd(), handler, false);
@@ -295,6 +312,37 @@ FramedConnection::shutdown()
     // closing here would let the kernel recycle the descriptor while a
     // sender on another thread is still inside sendv().
     sock.shutdownRw();
+}
+
+DrainWriteBatch::DrainWriteBatch(Holds holds_in) : holds(holds_in)
+{
+    MUSUITE_CHECK(activeDrainBatch == nullptr)
+        << "drain write batches do not nest";
+    activeDrainBatch = this;
+}
+
+DrainWriteBatch::~DrainWriteBatch()
+{
+    activeDrainBatch = nullptr;
+    for (const auto &fc : corked)
+        fc->uncorkAndFlush();
+}
+
+bool
+DrainWriteBatch::send(const std::shared_ptr<FramedConnection> &fc,
+                      std::string payload, FrameKind kind)
+{
+    DrainWriteBatch *batch = activeDrainBatch;
+    if (batch &&
+        (kind == FrameKind::response ||
+         batch->holds == Holds::requestsAndResponses) &&
+        std::find(batch->corked.begin(), batch->corked.end(), fc) ==
+            batch->corked.end()) {
+        // A drain touches few connections: a linear scan beats a set.
+        fc->cork();
+        batch->corked.push_back(fc);
+    }
+    return fc->sendFrameOwned(std::move(payload));
 }
 
 } // namespace musuite

@@ -16,9 +16,13 @@
  *    single flusher drains the queue with the lock *dropped* across
  *    the syscall; concurrent senders just append and return, so load
  *    coalesces naturally instead of convoying on the kernel.
- *  - cork()/uncork() let callers batch explicitly: a mid-tier issuing
- *    a fan-out (or a worker flushing a batch of responses) corks,
- *    queues everything, and uncorks into one syscall.
+ *  - cork()/uncork() let callers batch explicitly: a caller issuing a
+ *    burst corks, queues everything, and uncorks into one syscall.
+ *  - DrainWriteBatch does that for a whole drain: a server poller pass
+ *    or worker drain round corks each connection the first time the
+ *    thread queues a frame on it and uncorks each once at the end, so
+ *    every connection gets one sendmsg per drain — a pass's responses
+ *    and, on a poller, the leaf requests its handlers issued.
  *  - Inbound bytes land directly in a cursor-compacted buffer (no
  *    erase(0, cursor) shuffle), and a short read ends the recv loop —
  *    a short read means the kernel buffer is drained, so the old
@@ -34,8 +38,10 @@
 #include <atomic>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "base/threading.h"
 #include "net/poller.h"
@@ -107,6 +113,17 @@ class FramedConnection
     /** @return false if the connection died flushing. */
     bool uncork();
 
+    /**
+     * uncork() that flushes everything queued even while other corks
+     * are still held (DrainWriteBatch's end). Drains on several threads
+     * (worker rounds, passes of several pollers) may keep one
+     * connection corked between them for as long as they keep
+     * overlapping; this bounds the wait of every frame to the end of
+     * the first drain that ends after it was queued.
+     * @return false if the connection died flushing.
+     */
+    bool uncorkAndFlush();
+
     bool isDead() const { return dead.load(std::memory_order_acquire); }
     int fd() const { return sock.fd(); }
 
@@ -131,12 +148,16 @@ class FramedConnection
     /** Append one frame to the outbound queue. */
     void queueLocked(std::string &&payload) REQUIRES(outMutex);
 
+    /** Release one cork; `flush_all` as in uncorkAndFlush(). */
+    bool release(bool flush_all);
+
     /**
      * Drain the outbound queue through sendv, releasing `lock` across
      * each syscall (appenders keep making progress; deque references
      * stay valid). Only one thread flushes at a time — later callers
      * see `flushing` and return, leaving their frames to the active
-     * flusher. Updates EPOLLOUT interest.
+     * flusher. Corks stop it unless `flushAll` is set. Updates
+     * EPOLLOUT interest.
      * @return false on a hard I/O error: the caller must release
      *         outMutex and then call shutdown().
      */
@@ -162,9 +183,59 @@ class FramedConnection
     size_t outCursor GUARDED_BY(outMutex) = 0;
     bool flushing GUARDED_BY(outMutex) = false;
     int corkDepth GUARDED_BY(outMutex) = 0;
+    /** Set by uncorkAndFlush(): flush despite corks until empty. */
+    bool flushAll GUARDED_BY(outMutex) = false;
     bool writeArmed GUARDED_BY(outMutex) = false;
 
     std::atomic<bool> dead{false};
+};
+
+/** What a frame carries, as far as a DrainWriteBatch is concerned. */
+enum class FrameKind { request, response };
+
+/**
+ * One write batch per drain. While a thread holds one open, every
+ * frame it sends through send() that the batch holds corks its
+ * connection (once per connection) and queues; the destructor uncorks
+ * each of those connections once (uncorkAndFlush), so each gets one
+ * flush — ideally one sendmsg — per drain instead of one per frame. A
+ * frame another thread queues on such a connection meanwhile waits for
+ * the same flush, so it leaves no later than the end of the drain.
+ *
+ * Responses always join. Requests join only a batch that holds them:
+ * a request held back until the drain ends gets no reply before then,
+ * so only a thread that never waits inside its drain may hold them.
+ * A server poller pass holds both (pollers never block; the role
+ * checks and mulint enforce it); a worker drain round holds responses
+ * only, because its handlers may block on client calls.
+ *
+ * Thread-local and not nestable: one batch per thread at a time.
+ */
+class DrainWriteBatch
+{
+  public:
+    /** Which frames the batch holds back (see above). */
+    enum class Holds { responses, requestsAndResponses };
+
+    /** Open the calling thread's batch. */
+    explicit DrainWriteBatch(Holds holds);
+
+    /** Uncork every joined connection once. */
+    ~DrainWriteBatch();
+
+    DrainWriteBatch(const DrainWriteBatch &) = delete;
+    DrainWriteBatch &operator=(const DrainWriteBatch &) = delete;
+
+    /**
+     * FramedConnection::sendFrameOwned(), held back until the end of
+     * the calling thread's batch when one is open and holds `kind`.
+     */
+    static bool send(const std::shared_ptr<FramedConnection> &fc,
+                     std::string payload, FrameKind kind);
+
+  private:
+    Holds holds;
+    std::vector<std::shared_ptr<FramedConnection>> corked;
 };
 
 } // namespace musuite

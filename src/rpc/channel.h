@@ -326,7 +326,10 @@ class Channel
  * first time it appears (duplicates are fine), the destructor uncorks
  * everything. Scope it around a burst of call()s; responses cannot
  * arrive before the frames flush, so the batch must end before any
- * blocking wait on completions.
+ * blocking wait on completions. On a server poller pass the pass's own
+ * write batch (net/frame.h DrainWriteBatch) already holds every
+ * request until the pass ends, so there this adds nothing; it matters
+ * on threads without one (workers, timers, callers of their own).
  */
 class ScopedWriteBatch
 {

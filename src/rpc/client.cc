@@ -292,7 +292,9 @@ RpcClient::transportCall(uint32_t method, std::string body,
         return;
     }
 
-    if (!fc->sendFrameOwned(std::move(frame))) {
+    // Issued on a server poller pass, the request waits for the pass's
+    // flush and leaves with the pass's other frames to this leaf.
+    if (!DrainWriteBatch::send(fc, std::move(frame), FrameKind::request)) {
         // Connection died under us: reclaim the callback if the
         // completion thread has not already failed it.
         Callback reclaimed;

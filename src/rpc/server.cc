@@ -22,29 +22,6 @@ namespace rpc {
 
 namespace {
 
-/**
- * Write-combining context for response frames. While a drain loop
- * (worker batch or poller pass) is running, the thread's active batch
- * collects every response frame produced on it: admission sheds,
- * handlers served to completion, and fan-out merges completed by leaf
- * replies read in the same pass. The drain flushes them afterwards
- * grouped by connection — one cork/uncork (ideally one sendmsg) per
- * connection per drain instead of one per response. Responses
- * completed from other threads (timers, pick-up threads) miss the
- * batch and flush directly.
- */
-struct ResponseBatch
-{
-    struct Entry
-    {
-        std::shared_ptr<FramedConnection> fc;
-        std::string frame;
-    };
-    std::vector<Entry> entries;
-};
-
-thread_local ResponseBatch *activeResponseBatch = nullptr;
-
 /** Cap on calls a readable event collects before handing them off
  *  early, so a huge burst still reaches idle workers (or starts being
  *  served inline) while the poller parses. */
@@ -53,28 +30,6 @@ constexpr size_t maxEventBatch = 64;
 /** Cap on tasks a worker drains per round: bounds how long the first
  *  response of a batch waits behind the handlers after it. */
 constexpr size_t maxWorkerDrain = 32;
-
-void
-flushResponseBatch(ResponseBatch &batch)
-{
-    // Group by connection (batches are small; quadratic scan beats a
-    // map here): cork once, queue every frame, flush in one uncork.
-    for (size_t i = 0; i < batch.entries.size(); ++i) {
-        auto fc = std::move(batch.entries[i].fc);
-        if (!fc)
-            continue;
-        fc->cork();
-        fc->sendFrameOwned(std::move(batch.entries[i].frame));
-        for (size_t j = i + 1; j < batch.entries.size(); ++j) {
-            if (batch.entries[j].fc == fc) {
-                fc->sendFrameOwned(std::move(batch.entries[j].frame));
-                batch.entries[j].fc = nullptr;
-            }
-        }
-        fc->uncork();
-    }
-    batch.entries.clear();
-}
 
 } // namespace
 
@@ -320,15 +275,16 @@ Server::pollerMain(size_t index)
         } else {
             empty_streak = 0;
         }
-        // Every response produced on this thread during the pass —
-        // admission and overflow sheds, inline-served handlers, and
-        // merges completed by leaf replies read here — coalesces into
-        // one flush per connection.
-        ResponseBatch responses;
-        activeResponseBatch = &responses;
-        Poller::dispatch(events);
-        activeResponseBatch = nullptr;
-        flushResponseBatch(responses);
+        {
+            // Every frame this pass queues — admission and overflow
+            // sheds, responses of handlers served here, merges
+            // completed by leaf replies read here, and the leaf
+            // requests those handlers issue — leaves in one flush per
+            // connection.
+            DrainWriteBatch writes(
+                DrainWriteBatch::Holds::requestsAndResponses);
+            Poller::dispatch(events);
+        }
         loop.endPass();
     }
     loop.leave();
@@ -342,14 +298,13 @@ Server::workerMain(size_t)
         auto tasks = taskQueue.popMany(maxWorkerDrain);
         if (tasks.empty())
             return; // Queue closed and drained.
-        ResponseBatch responses;
-        activeResponseBatch = &responses;
+        // Handlers may block on client calls, so only the round's
+        // responses are held back, one flush per connection.
+        DrainWriteBatch writes(DrainWriteBatch::Holds::responses);
         for (auto &task : tasks) {
             assertOnWorkerThread();
             serve(task);
         }
-        activeResponseBatch = nullptr;
-        flushResponseBatch(responses);
     }
 }
 
@@ -413,16 +368,11 @@ Server::handleFrame(Conn *conn, std::string_view frame,
             response_header.budgetNs = retry_after_ns > 0
                                            ? retry_after_ns
                                            : default_retry_after;
-        std::string frame = encodeFrame(response_header, body);
-        // Inside a drain loop, defer to the thread's batch so all
-        // responses sharing a connection leave in one flush; async
-        // completions (no batch on their thread) flush directly.
-        if (ResponseBatch *batch = activeResponseBatch) {
-            batch->entries.push_back(
-                {std::move(fc), std::move(frame)});
-            return;
-        }
-        fc->sendFrameOwned(std::move(frame));
+        // Inside a drain, the response joins the thread's write
+        // batch; async completions (no batch on their thread) flush
+        // directly.
+        DrainWriteBatch::send(fc, encodeFrame(response_header, body),
+                              FrameKind::response);
     };
 
     // Tier 1: admission, decided before the body is even copied. The
@@ -443,10 +393,8 @@ Server::handleFrame(Conn *conn, std::string_view frame,
         reject.method = method;
         reject.requestId = request_id;
         reject.budgetNs = hint;
-        // handleFrame runs only inside a poller pass, whose batch is
-        // always active.
-        activeResponseBatch->entries.push_back(
-            {conn->fc, encodeFrame(reject, "")});
+        DrainWriteBatch::send(conn->fc, encodeFrame(reject, ""),
+                              FrameKind::response);
         return;
     }
 

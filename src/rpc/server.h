@@ -17,15 +17,21 @@
  * Both modes share one path: the poller parses every frame of a
  * readable event, admits it, and collects the calls into the event's
  * batch; the batch is then handed to the workers in one push or served
- * in order on the poller. Responses produced on either thread in that
- * pass leave in one flush per connection.
+ * in order on the poller.
+ *
+ * Every drain opens one write batch (net/frame.h DrainWriteBatch), so
+ * each connection it writes to gets one flush per drain. A poller
+ * pass holds back every frame it queues: sheds, responses of the
+ * handlers it serves and of the merges it completes, and the leaf
+ * requests those handlers issue. A worker drain round holds back its
+ * responses only, because its handlers may block on client calls.
  *
  * Handlers receive a shared ServerCall and may respond from any
  * thread. The poller shards exist from construction, and dial() opens
  * an RpcClient whose connections ride them: a run-to-completion
  * mid-tier's leaf replies are then read, counted down and merged on
  * the poller that ran the handler, and the merged response joins that
- * pass's flush. A mid-tier dialing plain RpcClients instead (the
+ * pass's write batch. A mid-tier dialing plain RpcClients instead (the
  * Fig. 8 pipeline) responds from their leaf-response pick-up threads.
  *
  * OVERLOAD CONTROL (rpc/overload.h): three shedding tiers keep the

@@ -506,5 +506,49 @@ TEST_F(FrameTest, UncorkedBurstCoalescesFrames)
     ASSERT_EQ(frames.size(), size_t(count));
 }
 
+TEST(DrainWriteBatchTest, EndOfADrainFlushesUnderAnotherDrainsCork)
+{
+    // Two drains overlap on one connection. The first to end flushes
+    // everything queued although the other still holds its cork, so
+    // drains that keep overlapping (a worker pool's rounds, several
+    // pollers' passes) cannot keep the connection corked between them.
+    SocketPair pair;
+    ASSERT_TRUE(pair.client.valid());
+    ASSERT_TRUE(pair.server.valid());
+    auto sender = std::make_shared<FramedConnection>(
+        std::move(pair.client), nullptr, nullptr);
+    FramedConnection receiver(std::move(pair.server), nullptr, nullptr);
+
+    std::atomic<bool> otherOpen{false};
+    std::atomic<bool> release{false};
+    ScopedThread other("other-drain", [&] {
+        DrainWriteBatch drain(DrainWriteBatch::Holds::responses);
+        DrainWriteBatch::send(sender, "other", FrameKind::response);
+        otherOpen = true;
+        while (!release.load())
+            sleepForNanos(100'000);
+    });
+    while (!otherOpen.load())
+        sleepForNanos(100'000);
+    {
+        DrainWriteBatch drain(DrainWriteBatch::Holds::responses);
+        EXPECT_TRUE(
+            DrainWriteBatch::send(sender, "mine", FrameKind::response));
+    }
+
+    std::vector<std::string> frames;
+    const int64_t deadline = nowNanos() + 2'000'000'000;
+    while (frames.size() < 2 && nowNanos() < deadline) {
+        receiver.onReadable(
+            [&](std::string_view frame) { frames.emplace_back(frame); });
+        if (frames.size() < 2)
+            sleepForNanos(500'000);
+    }
+    release = true;
+    other.join();
+    EXPECT_EQ(frames, (std::vector<std::string>{"other", "mine"}))
+        << "frames waited for a drain that had not ended";
+}
+
 } // namespace
 } // namespace musuite

@@ -664,6 +664,195 @@ TEST(DialedClientTest, PendingCallsCompleteExactlyOnceOnAnyTeardown)
         EXPECT_EQ(ledger.completedOnce(), calls);
         EXPECT_EQ(ledger.cancelled.load(), calls);
     }
+
+    // 4. The client goes while a pass still holds the legs it issued
+    //    corked: the destructor waits that pass out, the legs never
+    //    reach the leaf, and each is cancelled once.
+    {
+        HoldingLeaf leaf;
+        CompletionLedger ledger(calls);
+        Server host(runToCompletion());
+        std::shared_ptr<RpcClient> client =
+            host.dial(leaf.server.port(), {});
+        RpcClient *legs = client.get();
+        std::atomic<bool> issued{false};
+        std::atomic<bool> destroying{false};
+        host.registerHandler(kFanout, [&](ServerCallPtr call) {
+            for (size_t i = 0; i < calls; ++i)
+                legs->call(kHold, "", ledger.callback(i));
+            issued = true;
+            // Keep the pass open until the destructor has shut the
+            // connection down and waits for the pass to end.
+            while (!destroying.load())
+                sleepForNanos(100'000);
+            sleepForNanos(50'000'000);
+            call->respondOk("");
+        });
+        host.start();
+        RpcClient frontEnd(host.port());
+        frontEnd.call(kFanout, "", [](const Status &, std::string_view) {});
+        const int64_t deadline = nowNanos() + 5'000'000'000;
+        while (!issued.load() && nowNanos() < deadline)
+            sleepForNanos(1'000'000);
+        ASSERT_TRUE(issued.load());
+        destroying = true;
+        client.reset();
+        EXPECT_EQ(ledger.completedOnce(), calls);
+        EXPECT_EQ(ledger.cancelled.load(), calls);
+        EXPECT_FALSE(ledger.anyTwice());
+        sleepForNanos(20'000'000);
+        EXPECT_EQ(leaf.heldCount(), 0u)
+            << "legs left before the end of the pass that issued them";
+    }
+}
+
+/** Accept one connection dialed at `listener` (bounded wait). */
+TcpSocket
+acceptOne(TcpListener &listener)
+{
+    TcpSocket sock;
+    for (int i = 0; i < 5000 && !sock.valid(); ++i) {
+        sock = listener.accept();
+        if (!sock.valid())
+            sleepForNanos(1'000'000);
+    }
+    return sock;
+}
+
+TEST(DialedClientTest, OnePassSendsItsLegsInOneSendmsg)
+{
+    // Requests parsed in one pass each send one leg over the same
+    // dialed client. The legs leave together at the end of the pass:
+    // one sendmsg, and the leaf (read by hand here) gets them all in
+    // one read.
+    constexpr int requests = 8;
+    TcpListener leafListener;
+    Server mid(runToCompletion());
+    std::shared_ptr<RpcClient> toLeaf = mid.dial(leafListener.port(), {});
+    mid.registerHandler(kFanout, [&toLeaf](ServerCallPtr call) {
+        toLeaf->call(kEcho, call->body(),
+                     [call](const Status &status,
+                            std::string_view payload) {
+                         call->respond(status.code(), payload);
+                     });
+    });
+    mid.start();
+    FramedConnection leaf(acceptOne(leafListener), nullptr, nullptr);
+    ASSERT_FALSE(leaf.isDead());
+
+    RpcClient frontEnd(mid.port());
+    std::atomic<int> answered{0};
+    CountdownLatch done(requests);
+    const auto before = snapshotSyscalls();
+    {
+        // One front-end sendmsg, so the mid-tier parses every request
+        // in one read.
+        ScopedWriteBatch batch(&frontEnd);
+        for (int i = 0; i < requests; ++i) {
+            frontEnd.call(kFanout, std::to_string(i),
+                          [&, i](const Status &status,
+                                 std::string_view payload) {
+                              if (status.isOk() &&
+                                  payload == std::to_string(i))
+                                  answered.fetch_add(1);
+                              done.countDown();
+                          });
+        }
+    }
+
+    // A read that delivers frames is one short recv (FrameTest's
+    // ShortReadParsesWithoutExtraRecv); count the reads that did.
+    std::vector<std::string> legs;
+    int reads = 0;
+    const int64_t deadline = nowNanos() + 5'000'000'000;
+    while (legs.size() < size_t(requests) && nowNanos() < deadline) {
+        const size_t had = legs.size();
+        ASSERT_TRUE(leaf.onReadable([&](std::string_view frame) {
+            legs.emplace_back(frame);
+        }));
+        if (legs.size() > had)
+            ++reads;
+        else
+            sleepForNanos(500'000);
+    }
+    ASSERT_EQ(legs.size(), size_t(requests));
+    EXPECT_EQ(reads, 1);
+
+    // Answer every leg in one write: the mid-tier reads the replies in
+    // one pass and answers every request in one flush.
+    leaf.cork();
+    for (const std::string &frame : legs) {
+        MessageHeader header;
+        std::string_view payload;
+        ASSERT_TRUE(decodeFrame(frame, header, payload));
+        header.kind = MessageKind::Response;
+        header.status = StatusCode::Ok;
+        ASSERT_TRUE(leaf.sendFrame(encodeFrame(header, payload)));
+    }
+    ASSERT_TRUE(leaf.uncork());
+    done.wait();
+    EXPECT_EQ(answered.load(), requests);
+    // A poller counts its sendmsg after the peer may already have read
+    // the bytes; once the pollers are joined every count is in.
+    mid.stop();
+    EXPECT_EQ(diffSyscalls(before, snapshotSyscalls())[size_t(Sys::Sendmsg)],
+              4u)
+        << "front-end batch, legs, leaf replies, responses: one each";
+}
+
+TEST(DrainWriteBatchTest, FrameQueuedByAnotherThreadLeavesWithThePass)
+{
+    // Once a pass queues a response on a connection it holds that
+    // connection corked until the pass ends. A response another thread
+    // queues there meanwhile is not stranded: it leaves with the
+    // pass's flush, in the same sendmsg.
+    Server server(runToCompletion());
+    Mutex mutex;
+    ServerCallPtr held;
+    server.registerHandler(kHold, [&](ServerCallPtr call) {
+        MutexLock lock(mutex);
+        held = std::move(call);
+    });
+    server.registerHandler(kEcho, [&](ServerCallPtr call) {
+        call->respondOk(call->body());
+        ServerCallPtr other;
+        {
+            MutexLock lock(mutex);
+            other = std::move(held);
+        }
+        ScopedThread helper("helper",
+                            [other] { other->respondOk("held"); });
+        helper.join(); // Its frame is queued before the pass ends.
+    });
+    server.start();
+
+    RpcClient client(server.port());
+    CountdownLatch done(2);
+    std::atomic<int> answered{0};
+    auto expect = [&](std::string want) {
+        return [&, want](const Status &status, std::string_view payload) {
+            if (status.isOk() && payload == want)
+                answered.fetch_add(1);
+            done.countDown();
+        };
+    };
+    client.call(kHold, "", expect("held"));
+    auto isHeld = [&] {
+        MutexLock lock(mutex);
+        return held != nullptr;
+    };
+    const int64_t deadline = nowNanos() + 5'000'000'000;
+    while (!isHeld() && nowNanos() < deadline)
+        sleepForNanos(1'000'000);
+    ASSERT_TRUE(isHeld());
+    const auto before = snapshotSyscalls();
+    client.call(kEcho, "echo", expect("echo"));
+    done.wait();
+    EXPECT_EQ(answered.load(), 2);
+    server.stop(); // Joins the poller: its sendmsg count is in.
+    EXPECT_EQ(diffSyscalls(before, snapshotSyscalls())[size_t(Sys::Sendmsg)],
+              2u)
+        << "one request, then both responses in the pass's flush";
 }
 
 TEST(DialedClientDeathTest, DefaultDeadlineIsRejected)
@@ -674,6 +863,38 @@ TEST(DialedClientDeathTest, DefaultDeadlineIsRejected)
     ClientOptions options;
     options.defaultDeadlineNs = 10'000'000;
     EXPECT_DEATH(host.dial(target.port(), options), "no deadline sweep");
+}
+
+TEST(DrainWriteBatchTest, WorkerDrainDoesNotHoldRequests)
+{
+    // A worker's handler may block on a client call inside its drain
+    // round, so the round must not hold that call's request back until
+    // the round ends: it would wait on itself.
+    Server leaf(runToCompletion());
+    leaf.registerHandler(kEcho, [](ServerCallPtr call) {
+        call->respondOk(call->body());
+    });
+    leaf.start();
+    RpcClient toLeaf(leaf.port());
+
+    ServerOptions options;
+    options.workerThreads = 1;
+    Server mid(options);
+    mid.registerHandler(kFanout, [&toLeaf](ServerCallPtr call) {
+        CallOptions within;
+        within.deadlineNs = 2'000'000'000;
+        auto reply = toLeaf.callSync(kEcho, call->body(), within);
+        if (reply.isOk())
+            call->respondOk(reply.value());
+        else
+            call->respond(reply.status().code(), "");
+    });
+    mid.start();
+
+    RpcClient frontEnd(mid.port());
+    auto result = frontEnd.callSync(kFanout, "through");
+    ASSERT_TRUE(result.isOk()) << result.status().toString();
+    EXPECT_EQ(result.value(), "through");
 }
 
 } // namespace

@@ -4,7 +4,8 @@
 # Builds and runs the tier-1 ctest suite under four configurations:
 #
 #   1. -Werror release build            (warning-clean tree)
-#      + bench/micro_rpc smoke -> BENCH_rpc.json (rpc bench trajectory)
+#      + bench/micro_rpc smoke -> build-check-werror/BENCH_rpc.json
+#        (rpc bench trajectory; the committed BENCH_rpc.json is left alone)
 #      + bench/overload_storm smoke -> BENCH_overload.json (goodput)
 #      + bench/dag_storm smoke -> BENCH_dag.json (deep-DAG goodput)
 #      + bench/chaos_storm smoke -> BENCH_chaos.json (gray failures)
@@ -83,13 +84,14 @@ run_stage "werror" build-check-werror \
 
 # ---- stage 1b: micro_rpc bench smoke -------------------------------------
 # Fixed short workload against the werror build; emits BENCH_rpc.json
-# (round-trip ns, pipelined QPS, syscalls/request) so the RPC-path
-# bench trajectory is recorded on every run. ~1s, single-core friendly.
+# (round-trip ns, pipelined QPS, syscalls/request) into the build tree,
+# so every run records the RPC-path bench trajectory without rewriting
+# the committed file. ~1s, single-core friendly.
 banner "bench smoke: micro_rpc"
 if cmake --build build-check-werror --target micro_rpc -j "$jobs" \
         >>build-check-werror/build.log 2>&1 \
         && build-check-werror/bench/micro_rpc \
-            --smoke-json="$repo_root/BENCH_rpc.json"; then
+            --smoke-json="build-check-werror/BENCH_rpc.json"; then
     :
 else
     echo "BENCH SMOKE FAILED"
